@@ -1,21 +1,23 @@
-// Fleet scaling (DESIGN.md §9): throughput of the shard-per-core CotsFleet
-// over a shards x threads sweep, against the single CotsSpaceSaving engine
-// at its best thread count. Shards share nothing on the ingest path, so
-// with one shard per core the fleet's throughput should exceed the single
-// engine's peak from 2 shards up on multi-core hardware; rows whose thread
-// count exceeds the machine's hardware threads are stamped
-// "oversubscribed" in the JSON report and excluded from the verdict.
+// Fleet scaling (DESIGN.md §9): throughput of the CotsFleet — single-writer
+// FlatStreamSummary shards with cooperative hand-off — over a shards x
+// threads sweep, against the single CotsSpaceSaving engine at its best
+// thread count. With one shard per core the fleet's throughput should
+// exceed the single engine's peak from 2 shards up on multi-core
+// hardware; rows whose thread count exceeds the machine's hardware threads
+// are stamped "oversubscribed" in the JSON report and excluded from the
+// verdict. CI fails a FAIL verdict (SKIPPED, on a 1-core machine, passes).
 //
 // The bench is also a correctness gate (exit 1 on violation):
 //   * every merged global view must keep the Space Saving bounds versus
 //     exact ground truth (est >= true, est - err <= true, unmonitored
 //     <= merged bound), and conservation must hold (fleet stream length
 //     == n == sum of per-shard monitored counts);
-//   * the per-bucket request rings are sized from the ingest batch depth
-//     (CotsSpaceSavingOptions::request_ring_capacity), so on in-core rows
-//     (threads <= hardware threads) the mutex overflow fallback must stay
-//     near zero — a growing "request_queue.fallback_allocations" delta
-//     there means the sizing regressed (metrics builds only).
+//   * the engine's per-bucket request rings are sized from the ingest
+//     batch depth (CotsSpaceSavingOptions::request_ring_capacity), so on
+//     in-core rows (threads <= hardware threads) the mutex overflow
+//     fallback must stay near zero — a growing
+//     "request_queue.fallback_allocations" delta there means the sizing
+//     regressed (metrics builds only; fleet rows never touch the rings).
 //     Oversubscribed rows are reported but not gated: when the draining
 //     holder loses the core for a whole timeslice, producers exhausting
 //     their bounded spin and diverting to the fallback is the designed

@@ -2,20 +2,21 @@
 // §9). An epoll event loop accepts loopback TCP connections, parses the
 // wire protocol (a raw stream of little-endian uint64 element ids, no
 // framing), accumulates per-connection batches, and feeds them to the
-// fleet through OfferBatchBounded — so the network path reuses the same
-// prefetch + coalescing ingest pipeline as the in-process benches, and a
-// batch either lands on its shards in full or is refused in full.
+// fleet through OfferBatchBounded — so the network path runs the same
+// shard router as the in-process benches, and a batch either lands on its
+// shards in full or is refused in full. A batch is dispatched when it
+// reaches CotsFleet::kBatchDepth keys or when a read drains the socket,
+// so keys on an idle connection are counted without waiting for more.
 //
 //   ./ingest_server --port=7171 --shards=4 --capacity=1000
 //     serves until SIGINT/SIGTERM, printing a top-k report plus a delta
-//     stats line (offers/s, ring-fallback delta, view staleness) every
+//     stats line (offers/s, shard hand-off delta, view staleness) every
 //     --report-ms milliseconds. On the first signal the listeners close
 //     and existing connections drain (bounded by a drain deadline); a
 //     second signal exits immediately.
 //
 // Overload model (DESIGN.md §13): an AdmissionController is sampled on a
-// short tick from the shard queue depths, the server thread's overflow
-// spill count, and kOverloaded offer outcomes. While it reports Shedding
+// short tick from the shard inbox depths and kOverloaded offer outcomes. While it reports Shedding
 // the server keeps reading (never stalls the kernel buffers) but routes
 // decoded batches to CotsFleet::Shed() — absorbed into the error bounds,
 // not the counters — and answers each shedding connection with a
@@ -47,6 +48,11 @@
 //     and honors the retry hint, then verifies counted + shed == sent and
 //     that every key's exact count is inside the shed-widened bounds of
 //     the merged view (degrade, don't lie).
+//
+//   ./ingest_server --idle-selftest
+//     writes 100 keys (one word split across two writes) on a connection
+//     that then stays open, and exits 0 iff the stats port reports
+//     stream_length 100 within 1 s.
 
 #ifdef __linux__
 
@@ -106,6 +112,7 @@ struct ServerConfig {
   std::string trace_out;  // empty = no trace dump at shutdown
   bool selftest = false;
   bool shed_selftest = false;
+  bool idle_selftest = false;
   int seconds = 5;
   int clients = 3;
   uint64_t keys_per_client_burst = 4096;
@@ -155,6 +162,8 @@ ServerConfig ParseArgs(int argc, char** argv) {
       c.selftest = true;
     } else if (std::strcmp(a, "--shed-selftest") == 0) {
       c.shed_selftest = true;
+    } else if (std::strcmp(a, "--idle-selftest") == 0) {
+      c.idle_selftest = true;
     } else if (std::strncmp(a, "--seconds=", 10) == 0) {
       c.seconds = static_cast<int>(std::strtol(a + 10, nullptr, 10));
     } else if (std::strncmp(a, "--clients=", 10) == 0) {
@@ -182,7 +191,7 @@ ServerConfig ParseArgs(int argc, char** argv) {
                    "[--client-deadline-ms=MS] [--stats-idle-ms=MS] "
                    "[--retry-after-ms=MS] [--drain-ms=MS] "
                    "[--selftest [--seconds=S] [--clients=C]] "
-                   "[--shed-selftest]\n",
+                   "[--shed-selftest] [--idle-selftest]\n",
                    a);
       std::exit(2);
     }
@@ -191,8 +200,8 @@ ServerConfig ParseArgs(int argc, char** argv) {
 }
 
 // Per-connection parse state: a partial trailing word survives across
-// reads, decoded keys pool into `pending` until a batch is worth
-// dispatching, and replies (busy lines) queue into a non-blocking output
+// reads, decoded keys pool into `pending` until a batch fills or the
+// socket runs dry, and replies (busy lines) queue into a non-blocking output
 // buffer with a write deadline.
 struct Connection {
   int fd = -1;
@@ -217,7 +226,7 @@ struct StatsConn {
   SteadyClock::time_point out_deadline{};
 };
 
-constexpr size_t kDispatchBatch = cots::BatchIngestOptions::kDefaultBatchDepth;
+constexpr size_t kDispatchBatch = CotsFleet::kBatchDepth;
 
 uint64_t DecodeLE64(const unsigned char* p) {
   uint64_t v = 0;
@@ -747,22 +756,21 @@ class IngestServer {
   void PrintDeltaLine(double seconds) {
     const cots::MetricsSnapshot snap =
         cots::MetricsRegistry::Global().Snapshot();
-    const uint64_t fallbacks =
-        snap.CounterValue("request_queue.fallback_allocations");
+    const uint64_t handoffs = snap.CounterValue("fleet.handoffs");
     const double rate =
         seconds > 0.0
             ? static_cast<double>(ingested_ - last_ingested_) / seconds
             : 0.0;
-    std::printf("[stats] offers/s=%.0f ring_fallbacks=+%llu "
+    std::printf("[stats] offers/s=%.0f handoffs=+%llu "
                 "view_staleness=%llu state=%s shed=+%llu\n",
                 rate,
-                static_cast<unsigned long long>(fallbacks - last_fallbacks_),
+                static_cast<unsigned long long>(handoffs - last_handoffs_),
                 static_cast<unsigned long long>(
                     snap.GaugeValue("view.staleness_offers")),
                 cots::AdmissionStateName(admission_.state()),
                 static_cast<unsigned long long>(shed_ - last_shed_));
     last_ingested_ = ingested_;
-    last_fallbacks_ = fallbacks;
+    last_handoffs_ = handoffs;
     last_shed_ = shed_;
   }
 
@@ -778,7 +786,12 @@ class IngestServer {
         Decode(&conn, buf, static_cast<size_t>(r), handle);
         continue;
       }
-      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        // The socket is drained: count what arrived now rather than when
+        // a later read fills the batch (an idle connection may never).
+        FlushPending(&conn, handle);
+        return;
+      }
       // Peer closed (or hard error): flush and drop the connection.
       FlushPending(&conn, handle);
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
@@ -798,6 +811,7 @@ class IngestServer {
       if (conn->partial_len < 8) return;
       conn->pending.push_back(DecodeLE64(conn->partial));
       conn->partial_len = 0;
+      if (conn->pending.size() >= kDispatchBatch) FlushPending(conn, handle);
     }
     while (len - pos >= 8) {
       conn->pending.push_back(DecodeLE64(data + pos));
@@ -827,17 +841,15 @@ class IngestServer {
     return admission_.ShouldShed();
   }
 
-  // Feeds the controller one sample: worst shard backlog, this thread's
-  // cumulative overflow spills (the server thread is the only offerer),
-  // and the fleet's deadline-miss count. Runs on the 50ms tick — never on
-  // the per-offer path.
+  // Feeds the controller one sample: worst shard backlog (elements
+  // waiting in a shard inbox) and the fleet's deadline-miss count. Runs on
+  // the 50ms tick — never on the per-offer path.
   void SampleAdmission() {
     if (forced_shed_) return;  // the forced window owns the state
     cots::AdmissionSignals sig;
     for (size_t i = 0; i < fleet_->num_shards(); ++i) {
       sig.queue_depth = std::max(sig.queue_depth, fleet_->shard(i).queue_depth());
     }
-    sig.spills = cots::RequestQueue::ThreadSpills();
     sig.overloaded_offers = fleet_->deadline_misses();
     admission_.Update(sig);
     COTS_GAUGE_SET("overload.shed_weight", fleet_->shed_weight());
@@ -908,7 +920,7 @@ class IngestServer {
   uint64_t stats_idle_evictions_ = 0;
   uint64_t emfile_evictions_ = 0;
   uint64_t last_ingested_ = 0;
-  uint64_t last_fallbacks_ = 0;
+  uint64_t last_handoffs_ = 0;
   uint64_t last_shed_ = 0;
 };
 
@@ -1335,6 +1347,74 @@ int RunShedSelftest(ServerConfig config) {
   return 0;
 }
 
+// Idle-connection drill: keys written on a connection that then stays
+// open must be counted promptly, not when a later read fills the batch.
+int RunIdleSelftest(ServerConfig config) {
+  config.selftest = true;  // quiet event loop
+  CotsFleetOptions opt;
+  opt.num_shards = config.shards;
+  opt.engine.capacity = config.capacity;
+  opt.view_refresh_interval = config.view_refresh;
+  if (!opt.Validate().ok()) {
+    std::fprintf(stderr, "idle-selftest: invalid fleet options\n");
+    return 1;
+  }
+  CotsFleet fleet(opt);
+  IngestServer server(config, &fleet);
+  const uint16_t port = server.Start();
+  if (port == 0) {
+    std::fprintf(stderr, "idle-selftest: cannot bind loopback socket\n");
+    return 1;
+  }
+  std::atomic<bool> done{false};
+  std::thread server_thread([&] { server.Run(&done); });
+
+  constexpr uint64_t kKeys = 100;
+  uint64_t counted = 0;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+    unsigned char wire[kKeys * 8];
+    for (uint64_t i = 0; i < kKeys; ++i) EncodeLE64(1 + i % 7, wire + i * 8);
+    // Split mid-word, so the partial-word path runs too.
+    constexpr size_t kSplit = 8 * 49 + 3;
+    const bool written =
+        ::write(fd, wire, kSplit) == static_cast<ssize_t>(kSplit) &&
+        ::write(fd, wire + kSplit, sizeof(wire) - kSplit) ==
+            static_cast<ssize_t>(sizeof(wire) - kSplit);
+    const auto deadline = SteadyClock::now() + std::chrono::seconds(1);
+    while (written && counted != kKeys && SteadyClock::now() < deadline) {
+      const std::string body = QueryStatsPort(server.stats_port(), "stats");
+      const size_t at = body.find("\"stream_length\":");
+      if (at != std::string::npos) {
+        counted = std::strtoull(body.c_str() + at + 16, nullptr, 10);
+      }
+      if (counted != kKeys) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+  }
+  // The connection stays open until the verdict is in.
+  if (fd >= 0) ::close(fd);
+  done.store(true);
+  server_thread.join();
+  server.Close();
+  fleet.Stop();
+  std::printf("idle-selftest: %llu of %llu keys counted within 1 s\n",
+              static_cast<unsigned long long>(counted),
+              static_cast<unsigned long long>(kKeys));
+  if (counted != kKeys) {
+    std::fprintf(stderr, "idle-selftest FAIL\n");
+    return 1;
+  }
+  std::printf("idle-selftest PASS\n");
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1342,6 +1422,7 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   if (config.selftest) return RunSelftest(config);
   if (config.shed_selftest) return RunShedSelftest(config);
+  if (config.idle_selftest) return RunIdleSelftest(config);
 
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);

@@ -146,11 +146,15 @@ std::optional<Counter> FlatStreamSummary::Lookup(ElementId e) const {
 
 std::vector<Counter> FlatStreamSummary::CountersUnordered() const {
   std::vector<Counter> out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(Counter{keys_[i], freqs_[i], errors_[i]});
-  }
+  AppendCounters(&out);
   return out;
+}
+
+void FlatStreamSummary::AppendCounters(std::vector<Counter>* out) const {
+  out->reserve(out->size() + size_);
+  for (size_t i = 0; i < size_; ++i) {
+    out->push_back(Counter{keys_[i], freqs_[i], errors_[i]});
+  }
 }
 
 std::vector<Counter> FlatStreamSummary::CountersDescending() const {

@@ -70,6 +70,10 @@ class FlatStreamSummary {
   /// consumers (QueryEngine's nth_element fallback) and view builds.
   std::vector<Counter> CountersUnordered() const;
 
+  /// Appends CountersUnordered() to *out without a temporary — the copy a
+  /// fleet shard makes under its owner flag when a view is folded.
+  void AppendCounters(std::vector<Counter>* out) const;
+
   uint64_t stream_length() const { return n_; }
   size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }

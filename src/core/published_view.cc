@@ -4,9 +4,37 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define COTS_HAVE_CLDEMOTE 1
+#endif
 
 namespace cots {
 namespace {
+
+#ifdef COTS_HAVE_CLDEMOTE
+// Compiled for CLDEMOTE regardless of -march: the encoding sits in the
+// hint-NOP space, so CPUs without the feature execute it as a NOP.
+__attribute__((target("cldemote"))) void DemoteRange(const void* data,
+                                                     size_t bytes) {
+  if (bytes == 0) return;
+  constexpr uintptr_t kLine = 64;
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(data) & ~(kLine - 1);
+  const uintptr_t end = reinterpret_cast<uintptr_t>(data) + bytes;
+  for (uintptr_t line = begin; line < end; line += kLine) {
+    _cldemote(reinterpret_cast<void*>(line));
+  }
+}
+#else
+void DemoteRange(const void*, size_t) {}
+#endif
+
+template <typename T>
+void DemoteVector(const std::vector<T>& v) {
+  DemoteRange(v.data(), v.size() * sizeof(T));
+}
 
 // Smallest power of two >= 2*n (load factor <= 0.5), floor of 8 slots so
 // tiny views still probe a real table.
@@ -62,6 +90,14 @@ const PublishedView* PublishedView::Build(std::vector<Counter> counters,
     view->index_ranks_[slot] = static_cast<uint32_t>(rank);
   }
   return view;
+}
+
+void PublishedView::DemoteCacheLines() const {
+  DemoteRange(this, sizeof(*this));
+  DemoteVector(keys_);
+  DemoteVector(counts_);
+  DemoteVector(errors_);
+  DemoteVector(index_ranks_);
 }
 
 std::vector<Counter> PublishedView::TopK(size_t k) const {

@@ -44,7 +44,9 @@
 
 namespace cots {
 
-class PublishedView {
+// Cache-line aligned: the header is read by every query, and the
+// publisher's neighbouring allocations must not share its lines.
+class COTS_CACHE_ALIGNED PublishedView {
  public:
   /// Builds a view from any counter snapshot (sorted or not; Build sorts by
   /// count descending, ties by key ascending — the FrequencySummary order).
@@ -111,6 +113,13 @@ class PublishedView {
   /// admitted into its error bounds instead of its counters. Zero unless
   /// the overload layer shed load. stream_length() excludes these.
   uint64_t shed_weight() const { return shed_weight_; }
+
+  /// Hints the CPU to move the view's cache lines out of this core's
+  /// private caches into the shared last-level cache (x86 CLDEMOTE), so
+  /// readers on other cores fetch a freshly built view from there instead
+  /// of snooping the builder's core. A no-op where the instruction or the
+  /// architecture is missing (CLDEMOTE decodes as a NOP on older x86).
+  void DemoteCacheLines() const;
 
   static constexpr size_t kNotFound = ~size_t{0};
 

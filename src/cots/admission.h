@@ -47,6 +47,12 @@ enum class OfferOutcome : uint8_t {
   kRefused = 2,
 };
 
+/// Engine and fleet lifecycle (DESIGN.md §8). Running: normal ingest and
+/// queries. Draining: Stop() is quiescing — offers already in flight
+/// finish and their handed-off work drains. Stopped: the structure is
+/// frozen; offering is illegal, queries stay valid until destruction.
+enum class EngineState : uint8_t { kRunning, kDraining, kStopped };
+
 enum class AdmissionState : uint8_t {
   kHealthy = 0,
   kBackpressure = 1,

@@ -117,10 +117,10 @@ struct SummaryNode {
 /// This is what SummaryLayout::kFlat means for the concurrent summary:
 /// nodes packed back-to-back in one slab instead of one malloc each, which
 /// removes per-admission allocation and cuts the allocator's per-chunk
-/// overhead — the difference that lets a CotsFleet run shard counts far
-/// beyond the core count. When the slab and free list are both empty
-/// (Lossy Counting can briefly exceed capacity while evicted nodes sit in
-/// EBR), Allocate returns nullptr and the caller falls back to the heap.
+/// overhead, so many small engines stay cheap. When the slab and free
+/// list are both empty (Lossy Counting can briefly exceed capacity while
+/// evicted nodes sit in EBR), Allocate returns nullptr and the caller
+/// falls back to the heap.
 class SummaryNodePool {
  public:
   explicit SummaryNodePool(size_t capacity) : slab_(capacity) {

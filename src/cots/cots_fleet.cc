@@ -1,11 +1,17 @@
 #include "cots/cots_fleet.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstring>
+#include <new>
 #include <thread>
 
 #include "core/published_view.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
+#include "util/spinlock.h"
+#include "util/stopwatch.h"
 #include "util/thread_utils.h"
 #include "util/trace.h"
 
@@ -13,9 +19,9 @@ namespace cots {
 
 namespace {
 
-/// Fleet-level copy of the engine's offer bracket (see cots_space_saving.cc):
-/// seq_cst entry increment + state check versus Stop()'s seq_cst Draining
-/// CAS + inflight wait form the same Dekker handshake one level up.
+/// Fleet-level offer bracket: seq_cst entry increment + state check versus
+/// Stop()'s seq_cst Draining CAS + inflight wait form a Dekker handshake,
+/// the engine's (cots_space_saving.cc) lifted one level.
 class InflightScope {
  public:
   explicit InflightScope(std::atomic<uint64_t>* counter) : counter_(counter) {
@@ -27,14 +33,12 @@ class InflightScope {
   std::atomic<uint64_t>* counter_;
 };
 
-// Full murmur3 finalizer (both multiplies), unlike the engines' in-table
-// BucketFor which gets away with one. ShardOf takes the product's HIGH
-// bits (Lemire reduction), and after a single multiply those are still
-// nearly linear in the key — a dense small-key space (0..63) then routes
-// almost everything to the last shard, overflowing its capacity while the
-// others sit empty. The second multiply diffuses the high bits; the
-// in-shard bucket index takes low bits of the shard engines' own mix, so
-// the two splits stay effectively independent.
+// Full murmur3 finalizer (both multiplies). ShardOf takes the product's
+// HIGH bits (Lemire reduction), and after a single multiply those are
+// still nearly linear in the key — a dense small-key space (0..63) then
+// routes almost everything to the last shard. The second multiply
+// diffuses the high bits; the shard summaries index by their own SplitMix
+// mix, so the two splits stay effectively independent.
 inline uint64_t MixKey(ElementId e) {
   uint64_t h = e;
   h ^= h >> 33;
@@ -45,16 +49,32 @@ inline uint64_t MixKey(ElementId e) {
   return h;
 }
 
+bool ByCountDescending(const Counter& a, const Counter& b) {
+  if (a.count != b.count) return a.count > b.count;
+  return a.key < b.key;
+}
+
+// An automatic refresh may start once this many publish durations have
+// passed since the previous one ended, so publishing costs a producer at
+// most 1/(kPublishPacing + 1) of its time.
+constexpr uint64_t kPublishPacing = 8;
+
+// A holder that keeps a shard's flag this long is treated as stalled
+// (preempted or wedged): a producer waiting to help a backlogged shard
+// hands its run off instead, and an automatic refresh gives up and stays
+// due for the next offer. Producers therefore never wait on a stalled
+// shard for longer than this.
+constexpr uint64_t kStallPatienceNs = 200'000;
+
 CotsFleetOptions ValidatedOptions(CotsFleetOptions options) {
   const Status status = options.Validate();
   assert(status.ok() && "invalid CotsFleetOptions");
   (void)status;
-  // Release-build clamps, mirroring the engine's ValidatedOptions: a fleet
-  // must never be constructed in a shape that can hang its own teardown.
+  // Release-build clamps: a fleet must never be constructed in a shape
+  // that cannot count or cannot register its own query slot.
   if (options.num_shards == 0) options.num_shards = 1;
-  if (options.engine.capacity == 0 && options.engine.epsilon <= 0.0) {
-    options.engine.capacity = 1;
-  }
+  if (options.engine.capacity == 0) options.engine.capacity = 1;
+  if (options.engine.max_threads < 2) options.engine.max_threads = 2;
   if (options.merge_capacity == 0) {
     options.merge_capacity = options.engine.capacity;
   }
@@ -71,28 +91,203 @@ Status CotsFleetOptions::Validate() {
   if (num_shards > 4096) {
     return Status::InvalidArgument("num_shards must be at most 4096");
   }
-  Status engine_status = engine.Validate();
-  if (!engine_status.ok()) return engine_status;
+  if (engine.capacity == 0) {
+    if (engine.epsilon <= 0.0 || engine.epsilon >= 1.0) {
+      return Status::InvalidArgument(
+          "either engine.capacity > 0 or engine.epsilon in (0, 1) is "
+          "required");
+    }
+    engine.capacity = static_cast<size_t>(std::ceil(1.0 / engine.epsilon));
+  }
+  if (engine.max_threads <= 1) {
+    return Status::InvalidArgument("engine.max_threads must be at least 2");
+  }
   if (merge_capacity == 0) merge_capacity = engine.capacity;
   return Status::OK();
 }
 
+// ---------------------------------------------------------------------------
+// Shard
+
+// A handed-off run: `count` elements, each offered with `weight`, stored
+// inline after the header (one allocation per hand-off; the uncontended
+// path never allocates).
+struct CotsFleet::Shard::Run {
+  Run* next;
+  uint64_t weight;
+  size_t count;
+
+  ElementId* elements() { return reinterpret_cast<ElementId*>(this + 1); }
+
+  static Run* Make(const ElementId* elements, size_t count, uint64_t weight) {
+    static_assert(sizeof(Run) % alignof(ElementId) == 0);
+    void* mem = ::operator new(sizeof(Run) + count * sizeof(ElementId));
+    Run* run = new (mem) Run{nullptr, weight, count};
+    std::memcpy(run->elements(), elements, count * sizeof(ElementId));
+    return run;
+  }
+  static void Free(Run* run) {
+    run->~Run();
+    ::operator delete(run);
+  }
+};
+
+CotsFleet::Shard::Shard(size_t capacity) : summary_(capacity) {}
+
+CotsFleet::Shard::~Shard() {
+  // The fleet's destructor stops it first, which empties every inbox; this
+  // only guards a shard destroyed some other way.
+  for (Run* run = inbox_.load(std::memory_order_acquire); run != nullptr;) {
+    Run* next = run->next;
+    Run::Free(run);
+    run = next;
+  }
+}
+
+bool CotsFleet::Shard::Acquire(uint64_t deadline_ns) const {
+  if (!TryAcquire()) {
+    // Announce the wait: a releasing holder then leaves a non-empty inbox
+    // to us instead of re-taking the flag to drain it, so a busy shard's
+    // holder cannot starve a reader or publisher by chaining drains.
+    waiters_.fetch_add(1, std::memory_order_seq_cst);
+    bool acquired = false;
+    for (uint32_t spins = 1; !(acquired = TryAcquire()); ++spins) {
+      CpuRelax();
+      if (deadline_ns != 0 && spins % 64 == 0 && NowNanos() > deadline_ns) {
+        break;
+      }
+    }
+    waiters_.fetch_sub(1, std::memory_order_seq_cst);
+    if (!acquired) {
+      // Holders may have skipped their inbox re-check on our account;
+      // take that duty back before giving up.
+      if (TryAcquire()) Release();
+      return false;
+    }
+  }
+  // Runs handed off before this call are applied before the caller reads.
+  DrainInbox();
+  return true;
+}
+
+void CotsFleet::Shard::Apply(const ElementId* elements, size_t count,
+                             uint64_t weight) const {
+  for (size_t i = 0; i < count; ++i) summary_.Offer(elements[i], weight);
+}
+
+void CotsFleet::Shard::DrainInbox() const {
+  if (inbox_.load(std::memory_order_relaxed) == nullptr) return;
+  Run* run = inbox_.exchange(nullptr, std::memory_order_acquire);
+  // The inbox is a LIFO push list; reverse it so runs apply in hand-off
+  // order (each producer's runs into this shard stay in arrival order).
+  Run* fifo = nullptr;
+  uint64_t drained = 0;
+  while (run != nullptr) {
+    Run* next = run->next;
+    run->next = fifo;
+    fifo = run;
+    run = next;
+  }
+  while (fifo != nullptr) {
+    Run* next = fifo->next;
+    Apply(fifo->elements(), fifo->count, fifo->weight);
+    drained += fifo->count;
+    Run::Free(fifo);
+    fifo = next;
+  }
+  inbox_depth_.fetch_sub(drained, std::memory_order_relaxed);
+}
+
+void CotsFleet::Shard::Release() const {
+  for (;;) {
+    DrainInbox();
+    n_.store(summary_.stream_length(), std::memory_order_relaxed);
+    size_.store(summary_.size(), std::memory_order_relaxed);
+    // Still inside the critical section: a wedge here holds the flag, and
+    // a yield here widens the window in which a run is pushed after the
+    // last drain.
+    COTS_FAILPOINT("fleet.shard_hold");
+    // Dekker pairing with Push: release the flag, then look at the inbox
+    // (both seq_cst); a pusher pushes, then looks at the flag. At least
+    // one side sees the other, so a run pushed while we held the flag is
+    // drained either here or by the pusher's own retry.
+    owner_.store(false, std::memory_order_seq_cst);
+    if (inbox_.load(std::memory_order_seq_cst) == nullptr) return;
+    // A waiter takes the flag next and drains on acquiring (or, giving
+    // up, re-checks as we would); someone else holding the flag now
+    // drains it on their release.
+    if (waiters_.load(std::memory_order_seq_cst) != 0) return;
+    if (!TryAcquire()) return;
+  }
+}
+
+uint64_t CotsFleet::Shard::Push(Run* run) {
+  // Depth first, so a concurrent drain can never subtract a run's count
+  // before it was added.
+  const uint64_t queued =
+      inbox_depth_.fetch_add(run->count, std::memory_order_relaxed);
+  Run* head = inbox_.load(std::memory_order_relaxed);
+  do {
+    run->next = head;
+  } while (!inbox_.compare_exchange_weak(head, run, std::memory_order_seq_cst,
+                                         std::memory_order_relaxed));
+  return queued;
+}
+
+std::optional<Counter> CotsFleet::Shard::Lookup(ElementId e) const {
+  Acquire();
+  std::optional<Counter> c = summary_.Lookup(e);
+  Release();
+  return c;
+}
+
+std::vector<Counter> CotsFleet::Shard::CountersDescending() const {
+  Acquire();
+  std::vector<Counter> out = summary_.CountersDescending();
+  Release();
+  return out;
+}
+
+uint64_t CotsFleet::Shard::MinFreq() const {
+  const uint64_t shed = shed_weight();
+  Acquire();
+  const uint64_t structural =
+      summary_.size() < summary_.capacity() ? 0 : summary_.MinFreq();
+  Release();
+  return structural + shed;
+}
+
+bool CotsFleet::Shard::CheckInvariants() const {
+  // Read before Acquire, which would drain it: a stopped fleet must have
+  // left nothing behind.
+  const bool inbox_empty =
+      inbox_.load(std::memory_order_acquire) == nullptr &&
+      inbox_depth_.load(std::memory_order_relaxed) == 0;
+  Acquire();
+  const bool ok = summary_.CheckInvariants() &&
+                  n_.load(std::memory_order_relaxed) ==
+                      summary_.stream_length() &&
+                  size_.load(std::memory_order_relaxed) == summary_.size();
+  Release();
+  return ok && inbox_empty;
+}
+
+// ---------------------------------------------------------------------------
+// Fleet
+
 CotsFleet::CotsFleet(const CotsFleetOptions& options)
     : options_(ValidatedOptions(options)),
-      view_epochs_(options_.engine.max_threads),
-      view_refresh_interval_(options_.view_refresh_interval) {
+      view_refresh_interval_(options_.view_refresh_interval),
+      view_epochs_(options_.engine.max_threads) {
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
-    shards_.push_back(std::make_unique<CotsSpaceSaving>(options_.engine));
+    shards_.push_back(std::make_unique<Shard>(options_.engine.capacity));
   }
   view_query_participant_ = view_epochs_.Register();
   assert(view_query_participant_ != nullptr);
 }
 
 CotsFleet::~CotsFleet() {
-  // Freeze the fleet before any shard destructs: a shard destructor also
-  // stops itself, but going through the fleet protocol first guarantees no
-  // fleet-level offer is mid-dispatch while shards tear down.
   Stop();
   // All handles are destroyed before the fleet (API contract), so no view
   // pin can be live; the current view is freed directly and retired
@@ -112,12 +307,9 @@ size_t CotsFleet::ShardOf(ElementId e) const {
 }
 
 std::unique_ptr<CotsFleet::ThreadHandle> CotsFleet::RegisterThread() {
-  std::unique_ptr<ThreadHandle> handle(new ThreadHandle(this));
-  for (const auto& shard_handle : handle->shards_) {
-    if (shard_handle == nullptr) return nullptr;
-  }
-  if (handle->view_participant_ == nullptr) return nullptr;
-  return handle;
+  EpochParticipant* participant = view_epochs_.Register();
+  if (participant == nullptr) return nullptr;
+  return std::unique_ptr<ThreadHandle>(new ThreadHandle(this, participant));
 }
 
 void CotsFleet::Stop() {
@@ -132,37 +324,78 @@ void CotsFleet::Stop() {
   COTS_TRACE_SPAN(span, "fleet.stop_drain");
   // Every offer that won the handshake before the CAS above is visible in
   // inflight_offers_; every later offer observes Draining and refuses
-  // before touching any shard. Shards stay Running through this wait, so a
-  // winning offer's per-shard dispatches cannot be refused downstream —
-  // that is what makes fleet offers all-or-nothing.
+  // before touching any shard.
   while (inflight_offers_.load(std::memory_order_seq_cst) != 0) {
     COTS_FAILPOINT("fleet.drain_wait");
     std::this_thread::yield();
   }
+  // No offer is in flight, so no run can be pushed any more; whatever a
+  // holder's Dekker check left behind is applied here.
   for (const auto& shard : shards_) {
-    // Perturbation point between shard drains: stopping shard k while
-    // k+1..N still answer queries widens the window where a global view
-    // folds stopped and running shards together.
-    COTS_FAILPOINT("fleet.drain_shard");
-    shard->Stop();
+    shard->Acquire();
+    COTS_FAILPOINT("fleet.stop_drain");
+    shard->Release();
   }
   state_.store(EngineState::kStopped, std::memory_order_release);
 }
 
-CotsFleet::ThreadHandle::ThreadHandle(CotsFleet* fleet)
-    : fleet_(fleet),
-      shards_(fleet->num_shards()),
-      route_(fleet->num_shards()) {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s] = fleet->shards_[s]->RegisterThread();
-  }
-  view_participant_ = fleet->view_epochs_.Register();
+bool CotsFleet::TryApply(size_t s, const ElementId* elements, size_t count,
+                         uint64_t weight) {
+  Shard& shard = *shards_[s];
+  if (!shard.TryAcquire()) return false;
+  // Runs handed off before ours go first (per-producer order).
+  shard.DrainInbox();
+  ApplyHeld(shard, elements, count, weight);
+  return true;
 }
 
-CotsFleet::ThreadHandle::~ThreadHandle() {
-  if (view_participant_ != nullptr) {
-    fleet_->view_epochs_.Unregister(view_participant_);
+void CotsFleet::ApplyHeld(Shard& shard, const ElementId* elements,
+                          size_t count, uint64_t weight) {
+  COTS_TRACE_SPAN(span, "fleet.shard_run");
+  span.SetArg(count);
+  shard.Apply(elements, count, weight);
+  shard.Release();
+}
+
+bool CotsFleet::HandOff(Shard& shard, const ElementId* elements,
+                        size_t count, uint64_t weight) {
+  const uint64_t queued =
+      shard.Push(Shard::Run::Make(elements, count, weight));
+  COTS_TRACE_INSTANT_ARG("fleet.handoff", count);
+  COTS_COUNTER_INC("fleet.handoffs");
+  COTS_FAILPOINT("fleet.handoff_retry");
+  // The holder may have released before our push landed; if the flag is
+  // free now, the run is ours to apply.
+  if (shard.TryAcquire()) shard.Release();
+  return queued > kBatchDepth;
+}
+
+bool CotsFleet::Dispatch(size_t s, const ElementId* elements, size_t count,
+                         uint64_t weight) {
+  Shard& shard = *shards_[s];
+  if (shard.queue_depth() <= kBatchDepth) {
+    if (TryApply(s, elements, count, weight)) return false;
+    return HandOff(shard, elements, count, weight);  // delegate, move on
   }
+  // More than a batch is already waiting: the shard is not keeping up, and
+  // piling on would only grow its backlog. Wait to take the flag (draining
+  // the backlog on the way in) — unless the holder looks stalled, in which
+  // case hand off after all. Either way the batch reports the overload.
+  if (shard.Acquire(NowNanos() + kStallPatienceNs)) {
+    ApplyHeld(shard, elements, count, weight);
+  } else {
+    HandOff(shard, elements, count, weight);
+  }
+  return true;
+}
+
+CotsFleet::ThreadHandle::ThreadHandle(CotsFleet* fleet,
+                                      EpochParticipant* participant)
+    : fleet_(fleet), view_participant_(participant),
+      route_(fleet->num_shards()) {}
+
+CotsFleet::ThreadHandle::~ThreadHandle() {
+  fleet_->view_epochs_.Unregister(view_participant_);
 }
 
 bool CotsFleet::ThreadHandle::Offer(ElementId e, uint64_t weight) {
@@ -172,12 +405,9 @@ bool CotsFleet::ThreadHandle::Offer(ElementId e, uint64_t weight) {
     return false;
   }
   COTS_FAILPOINT("fleet.dispatch_shard");
-  const bool counted = shards_[fleet_->ShardOf(e)]->Offer(e, weight);
-  // The fleet handshake was won, so the shard is still Running (Stop()
-  // cannot pass the inflight wait until this scope exits).
-  assert(counted);
+  fleet_->Dispatch(fleet_->ShardOf(e), &e, 1, weight);
   fleet_->MaybeAutoRefresh(view_participant_, weight);
-  return counted;
+  return true;
 }
 
 OfferOutcome CotsFleet::ThreadHandle::OfferBatchBounded(
@@ -191,43 +421,41 @@ OfferOutcome CotsFleet::ThreadHandle::OfferBatchBounded(
     span.Cancel();
     return OfferOutcome::kRefused;
   }
-  if (shards_.size() == 1) {
-    COTS_FAILPOINT("fleet.dispatch_shard");
-    const OfferOutcome outcome = shards_[0]->OfferBatchBounded(elements, count);
-    assert(outcome != OfferOutcome::kRefused);
-    fleet_->MaybeAutoRefresh(view_participant_, count);
-    return outcome;
-  }
   // One pass partitions the batch while keeping per-shard arrival order;
-  // the buffers are cleared on entry (not exit) so nothing leaks across
-  // calls even if a dispatch asserts out mid-way in a debug build.
+  // buffers are cleared on entry so nothing leaks across calls.
   for (std::vector<ElementId>& r : route_) r.clear();
   for (size_t i = 0; i < count; ++i) {
     route_[fleet_->ShardOf(elements[i])].push_back(elements[i]);
   }
+  // First pass: apply every run whose shard is free and skip the held
+  // ones. Second pass: a shard still held after the others were served
+  // gets its run through Dispatch (hand-off, or help a backlogged shard).
+  held_.clear();
   uint64_t touched = 0;
-  bool overloaded = false;
   for (size_t s = 0; s < route_.size(); ++s) {
     if (route_[s].empty()) continue;
     ++touched;
     // Perturbation point between per-shard dispatches: a batch that is
-    // half-landed across shards is exactly the state the drain protocol
-    // must wait out.
+    // half-landed across shards is exactly the state Stop() must wait out.
     COTS_FAILPOINT("fleet.dispatch_shard");
-    const OfferOutcome outcome =
-        shards_[s]->OfferBatchBounded(route_[s].data(), route_[s].size());
-    assert(outcome != OfferOutcome::kRefused);  // see Offer
-    if (outcome == OfferOutcome::kOverloaded) overloaded = true;
+    if (!fleet_->TryApply(s, route_[s].data(), route_[s].size(), 1)) {
+      held_.push_back(s);
+    }
+  }
+  bool overloaded = false;
+  for (const size_t s : held_) {
+    overloaded |= fleet_->Dispatch(s, route_[s].data(), route_[s].size(), 1);
   }
   COTS_HISTOGRAM_RECORD("fleet.batch_shards_touched", touched);
   fleet_->MaybeAutoRefresh(view_participant_, count);
-  // One slow shard makes the whole fleet batch late: report it so the
-  // caller can shed before the backlog compounds.
-  return overloaded ? OfferOutcome::kOverloaded : OfferOutcome::kAccepted;
+  if (!overloaded) return OfferOutcome::kAccepted;
+  fleet_->deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+  COTS_COUNTER_INC("overload.deadline_misses");
+  return OfferOutcome::kOverloaded;
 }
 
 std::optional<Counter> CotsFleet::ThreadHandle::Lookup(ElementId e) const {
-  return shards_[fleet_->ShardOf(e)]->Lookup(e);
+  return fleet_->Lookup(e);
 }
 
 std::vector<Counter> CotsFleet::ThreadHandle::CountersDescending() const {
@@ -243,8 +471,8 @@ size_t CotsFleet::ThreadHandle::num_counters() const {
 }
 
 const PublishedView* CotsFleet::ThreadHandle::AcquireQueryView() const {
-  // Same protocol as the engine handle's: the pin must precede the load so
-  // a view retired after our Enter cannot be freed until we release.
+  // The pin must precede the load so a view retired after our Enter cannot
+  // be freed until we release.
   view_participant_->Enter();
   const PublishedView* view =
       fleet_->published_view_.load(std::memory_order_acquire);
@@ -256,27 +484,56 @@ void CotsFleet::ThreadHandle::ReleaseQueryView() const {
   view_participant_->Exit();
 }
 
-CounterSet CotsFleet::GlobalView() const {
-  std::vector<const FrequencySummary*> views;
-  std::vector<uint64_t> mins;
-  std::vector<uint64_t> sheds;
-  views.reserve(shards_.size());
-  mins.reserve(shards_.size());
-  sheds.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    views.push_back(shard.get());
-    // Shed weight read before MinFreq: MinFreq() already folds the shard's
-    // shed weight, and reading shed first keeps the pair conservative (a
-    // concurrent AbsorbShed can only make the min bound wider than the
-    // per-key widening, never narrower).
-    sheds.push_back(shard->shed_weight());
-    mins.push_back(shard->MinFreq());
+bool CotsFleet::FoldShards(uint64_t deadline_ns, Fold* out) const {
+  const size_t capacity = options_.merge_capacity;
+  out->counters.clear();
+  out->counters.reserve(capacity + options_.engine.capacity);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = *shards_[s];
+    // Shed weight before the copy: a concurrent Shed can then only make
+    // the widening below larger than the shed the copy reflects, never
+    // smaller (DESIGN.md §13.3).
+    const uint64_t shed = shard.shed_weight();
+    const size_t first = out->counters.size();
+    if (!shard.Acquire(deadline_ns)) return false;
+    const uint64_t n = shard.summary_.stream_length();
+    const uint64_t structural =
+        shard.summary_.size() < shard.summary_.capacity()
+            ? 0
+            : shard.summary_.MinFreq();
+    shard.summary_.AppendCounters(&out->counters);
+    shard.Release();
+    // The fold below is MergeSerial(..., kDisjoint) without the per-part
+    // CounterSets: widen this part's errors by its shed weight
+    // (CounterSet::FromShedSummary), take the max of the bounds, and on
+    // truncation raise the bound by the first dropped count plus the shed
+    // folded so far (CombineCounterSets). The first part is never
+    // truncated, as in MergeSerial.
+    if (shed != 0) {
+      for (size_t i = first; i < out->counters.size(); ++i) {
+        out->counters[i].error += shed;
+      }
+    }
+    out->stream_length += n;
+    out->shed_weight += shed;
+    out->min_freq = std::max(out->min_freq, structural + shed);
+    if (s > 0 && out->counters.size() > capacity) {
+      std::nth_element(out->counters.begin(),
+                       out->counters.begin() + static_cast<ptrdiff_t>(capacity),
+                       out->counters.end(), ByCountDescending);
+      out->min_freq = std::max(
+          out->min_freq, out->counters[capacity].count + out->shed_weight);
+      out->counters.resize(capacity);
+    }
   }
-  return options_.hierarchical_merge
-             ? MergeHierarchical(views, mins, options_.merge_capacity,
-                                 MergeMode::kDisjoint, &sheds)
-             : MergeSerial(views, mins, options_.merge_capacity,
-                           MergeMode::kDisjoint, &sheds);
+  return true;
+}
+
+CounterSet CotsFleet::GlobalView() const {
+  Fold fold;
+  FoldShards(/*deadline_ns=*/0, &fold);
+  return CounterSet(std::move(fold.counters), fold.min_freq,
+                    fold.stream_length, fold.shed_weight);
 }
 
 bool CotsFleet::Shed(const ElementId* elements, size_t count) {
@@ -289,7 +546,8 @@ bool CotsFleet::Shed(const ElementId* elements, size_t count) {
   // the disjoint-merge bound composition relies on every key's shed weight
   // widening its HOME shard's bounds (DESIGN.md §13).
   for (size_t i = 0; i < count; ++i) {
-    shards_[ShardOf(elements[i])]->AbsorbShed(1);
+    shards_[ShardOf(elements[i])]->shed_weight_.fetch_add(
+        1, std::memory_order_relaxed);
   }
   COTS_TRACE_INSTANT_ARG("overload.shed", count);
   COTS_GAUGE_SET("overload.shed_weight", shed_weight());
@@ -302,18 +560,9 @@ uint64_t CotsFleet::shed_weight() const {
   return total;
 }
 
-uint64_t CotsFleet::deadline_misses() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->deadline_misses();
-  return total;
-}
-
 uint64_t CotsFleet::MinFreq() const {
   uint64_t bound = 0;
-  for (const auto& shard : shards_) {
-    const uint64_t m = shard->MinFreq();
-    if (m > bound) bound = m;
-  }
+  for (const auto& shard : shards_) bound = std::max(bound, shard->MinFreq());
   return bound;
 }
 
@@ -326,10 +575,6 @@ std::vector<Counter> CotsFleet::CountersDescending() const {
 }
 
 uint64_t CotsFleet::stream_length() const {
-  // O(shards) atomic fold. Point queries served from the published view
-  // never pay this — the view caches the sum at refresh time — so the fold
-  // runs once per refresh (and for callers that want the live figure), not
-  // once per IsElementFrequent threshold computation.
   uint64_t n = 0;
   for (const auto& shard : shards_) n += shard->stream_length();
   return n;
@@ -358,20 +603,22 @@ void CotsFleet::ReleaseQueryView() const {
   view_query_mu_.unlock();
 }
 
-void CotsFleet::PublishView(EpochParticipant* participant) {
+bool CotsFleet::PublishView(EpochParticipant* participant,
+                            uint64_t deadline_ns) {
   COTS_TRACE_SPAN(span, "view.publish");
-  // Stream length first (see CotsSpaceSaving::PublishView): every fleet
-  // offer that fully landed before the fold below is covered, because
-  // shards account n before mutating their summaries.
-  const uint64_t n = stream_length();
-  CounterSet global = GlobalView();
+  Fold fold;
+  if (!FoldShards(deadline_ns, &fold)) {
+    span.Cancel();
+    return false;
+  }
   const uint64_t seq = view_sequence_.load(std::memory_order_relaxed) + 1;
   span.SetArg(seq);
-  // GlobalView already folded each shard's shed weight into the merged
-  // errors and min_freq; the view carries the total for accounting.
   const PublishedView* next =
-      PublishedView::Build(global.CountersDescending(), n, global.min_freq(),
-                           seq, global.shed_weight());
+      PublishedView::Build(std::move(fold.counters), fold.stream_length,
+                           fold.min_freq, seq, fold.shed_weight);
+  // The view was just written on this core; readers on other cores would
+  // otherwise fetch every line from this core's private cache.
+  next->DemoteCacheLines();
   COTS_FAILPOINT("view.publish");
   const PublishedView* prev =
       published_view_.exchange(next, std::memory_order_acq_rel);
@@ -381,6 +628,7 @@ void CotsFleet::PublishView(EpochParticipant* participant) {
     EpochGuard guard(participant);
     participant->Retire(const_cast<PublishedView*>(prev));
   }
+  return true;
 }
 
 void CotsFleet::MaybeAutoRefresh(EpochParticipant* participant,
@@ -388,17 +636,28 @@ void CotsFleet::MaybeAutoRefresh(EpochParticipant* participant,
   if (view_refresh_interval_ == 0) return;
   const uint64_t before =
       offers_since_refresh_.fetch_add(weight, std::memory_order_relaxed);
-  // See CotsSpaceSaving::MaybeAutoRefresh: view staleness in offers as
-  // observed by this thread; snapshot reports the worst thread.
+  // View staleness in offers as observed by this thread; the metrics
+  // snapshot reports the worst thread.
   COTS_GAUGE_SET("view.staleness_offers", before + weight);
   if (before + weight < view_refresh_interval_) return;
+  const uint64_t now = NowNanos();
+  if (now < next_auto_refresh_ns_.load(std::memory_order_relaxed)) return;
   bool expected = false;
   if (!view_refresh_claim_.compare_exchange_strong(
           expected, true, std::memory_order_acquire)) {
     return;  // a concurrent refresher is already publishing a fresher view
   }
   offers_since_refresh_.store(0, std::memory_order_relaxed);
-  PublishView(participant);
+  if (PublishView(participant, now + kStallPatienceNs)) {
+    const uint64_t end = NowNanos();
+    next_auto_refresh_ns_.store(end + kPublishPacing * (end - now),
+                                std::memory_order_relaxed);
+  } else {
+    // A shard stayed held: leave the refresh due for the next offer.
+    offers_since_refresh_.fetch_add(view_refresh_interval_,
+                                    std::memory_order_relaxed);
+    COTS_COUNTER_INC("view.refresh_abandoned");
+  }
   view_refresh_claim_.store(false, std::memory_order_release);
 }
 
@@ -412,7 +671,7 @@ void CotsFleet::RefreshQueryView() {
   offers_since_refresh_.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(view_query_mu_);
-    PublishView(view_query_participant_);
+    PublishView(view_query_participant_, /*deadline_ns=*/0);
   }
   view_refresh_claim_.store(false, std::memory_order_release);
 }

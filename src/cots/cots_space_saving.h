@@ -75,12 +75,6 @@ struct BatchIngestOptions {
   size_t overload_spill_budget = 64;
 };
 
-/// Engine lifecycle (DESIGN.md §8). Running: normal ingest and queries.
-/// Draining: Stop() is quiescing — offers already in flight finish and
-/// their delegated work drains. Stopped: the structure is frozen; offering
-/// is illegal, queries stay valid until destruction.
-enum class EngineState : uint8_t { kRunning, kDraining, kStopped };
-
 struct CotsSpaceSavingOptions {
   /// Monitored counters (m); derived from epsilon when 0.
   size_t capacity = 0;

@@ -1,10 +1,10 @@
 // Chaos soak harness for the overload-resilience layer (DESIGN.md §13).
 //
-// Scheduled-failpoint rounds cycle through the failure scenarios the
-// admission/shedding design must survive — ring-overflow storms, a stalled
-// consumer wedged inside a bucket drain, parked overwrite deferrals, a
-// slow shard, and Stop() racing mid-ingest — with load shedding forced on
-// a third of the rounds. Every round must end with:
+// Scheduled-failpoint rounds drive a fleet through the failure scenarios
+// the admission/shedding design must survive — hand-off storms, a holder
+// wedged inside a shard's critical section, races between a hand-off and
+// its flag retry, a slow router, and Stop() racing mid-ingest — with load
+// shedding forced on a third of the rounds. Every round must end with:
 //
 //   * conservation: counted == accepted offers, shed_weight == shed calls
 //     (nothing vanishes without accounting), and
@@ -64,12 +64,14 @@ void ExpectBoundsSound(const CounterSet& view, const ExactMap& exact,
   }
 }
 
-// One scheduled perturbation per round, cycled by round index.
+// One scheduled perturbation per round, cycled by round index. Every
+// scenario arms the fleet's own sites: the router, the shard critical
+// section, the hand-off retry and the Stop() drains.
 enum class Scenario {
   kCalm = 0,
-  kOverflowStorm,
-  kStalledConsumer,
-  kParkedDeferrals,
+  kHandoffStorm,
+  kStalledHolder,
+  kRetryRace,
   kSlowShard,
   kMidIngestStop,
   kCount,
@@ -78,9 +80,9 @@ enum class Scenario {
 const char* ScenarioName(Scenario s) {
   switch (s) {
     case Scenario::kCalm: return "calm";
-    case Scenario::kOverflowStorm: return "overflow_storm";
-    case Scenario::kStalledConsumer: return "stalled_consumer";
-    case Scenario::kParkedDeferrals: return "parked_deferrals";
+    case Scenario::kHandoffStorm: return "handoff_storm";
+    case Scenario::kStalledHolder: return "stalled_holder";
+    case Scenario::kRetryRace: return "retry_race";
     case Scenario::kSlowShard: return "slow_shard";
     case Scenario::kMidIngestStop: return "mid_ingest_stop";
     default: return "?";
@@ -93,37 +95,37 @@ void ArmScenario(Scenario s, uint64_t seed) {
   yield.num = 1;
   yield.den = 4;
   yield.seed = seed;
-  FailpointSpec trigger;
-  trigger.action = FailpointSpec::Action::kTrigger;
-  trigger.seed = seed ^ 0xdeadbeef;
   FailpointSpec spin;
   spin.action = FailpointSpec::Action::kSpin;
   spin.seed = seed ^ 0xc0ffee;
   switch (s) {
     case Scenario::kCalm:
       break;
-    case Scenario::kOverflowStorm:
-      trigger.num = 1;
-      trigger.den = 2;
-      Failpoints::Global().Enable("request_queue.force_overflow", trigger);
-      Failpoints::Global().Enable("summary.dispatch", yield);
+    case Scenario::kHandoffStorm:
+      // Holders linger in half their critical sections, so most runs are
+      // handed off through the inboxes instead of applied directly.
+      spin.num = 1;
+      spin.den = 2;
+      spin.spin_iters = 2000;
+      Failpoints::Global().Enable("fleet.shard_hold", spin);
+      Failpoints::Global().Enable("fleet.dispatch_shard", yield);
       break;
-    case Scenario::kStalledConsumer:
-      // The holder wedges (bounded) inside its drain loop while producers
-      // keep offering; their requests must divert to the spill path, never
-      // block on the stalled bucket.
+    case Scenario::kStalledHolder:
+      // A holder wedges (bounded) inside its critical section while
+      // producers keep offering; their runs must queue in the inbox, never
+      // wait on the stalled shard.
       spin.num = 1;
       spin.den = 8;
       spin.spin_iters = 20000;
-      Failpoints::Global().Enable("summary.stall_drain", spin);
-      trigger.num = 1;
-      trigger.den = 6;
-      Failpoints::Global().Enable("request_queue.force_overflow", trigger);
+      Failpoints::Global().Enable("fleet.shard_hold", spin);
       break;
-    case Scenario::kParkedDeferrals:
-      trigger.num = 1;
-      trigger.den = 2;
-      Failpoints::Global().Enable("summary.force_overwrite_defer", trigger);
+    case Scenario::kRetryRace:
+      // Widens the window between a hand-off and its flag retry, where the
+      // holder's post-release inbox check must pick the run up.
+      yield.num = 1;
+      yield.den = 2;
+      Failpoints::Global().Enable("fleet.handoff_retry", yield);
+      Failpoints::Global().Enable("fleet.shard_hold", yield);
       Failpoints::Global().Enable("fleet.drain_wait", yield);
       break;
     case Scenario::kSlowShard:
@@ -131,12 +133,12 @@ void ArmScenario(Scenario s, uint64_t seed) {
       spin.den = 8;
       spin.spin_iters = 4096;
       Failpoints::Global().Enable("fleet.dispatch_shard", spin);
-      Failpoints::Global().Enable("summary.dispatch", yield);
+      Failpoints::Global().Enable("fleet.shard_hold", yield);
       break;
     case Scenario::kMidIngestStop:
       Failpoints::Global().Enable("fleet.dispatch_shard", yield);
-      Failpoints::Global().Enable("fleet.drain_shard", yield);
-      Failpoints::Global().Enable("summary.dispatch", yield);
+      Failpoints::Global().Enable("fleet.handoff_retry", yield);
+      Failpoints::Global().Enable("fleet.stop_drain", yield);
       break;
     default:
       break;
@@ -229,9 +231,8 @@ TEST(CotsChaosTest, PerturbedRoundsConserveAndStayBounded) {
     ASSERT_EQ(fleet.shed_weight(), shed.load()) << "round " << round;
     uint64_t conserved = 0;
     for (size_t s = 0; s < fleet.num_shards(); ++s) {
-      std::string why;
-      EXPECT_TRUE(fleet.shard(s).CheckInvariantsQuiescent(&why))
-          << "round " << round << " shard " << s << ": " << why;
+      EXPECT_TRUE(fleet.shard(s).CheckInvariants())
+          << "round " << round << " shard " << s;
       for (const Counter& c : fleet.shard(s).CountersDescending()) {
         conserved += c.count;
       }

@@ -1,26 +1,35 @@
-// CotsFleet tests: shard routing, single-shard equivalence with the plain
-// engine, merged-view accuracy bounds versus ground truth, zero-loss
-// conservation across racing Stop(), and a failpoint-perturbed drain
-// stress. The fleet's contract is the engine's lifted one level: offers
-// are counted in full on their home shards or refused in full, and the
-// disjoint merge preserves the Space Saving guarantees globally.
+// CotsFleet tests: shard routing, bit-exact agreement with sequential
+// FlatStreamSummary shards, merged-view equality with the serial disjoint
+// merge, accuracy bounds and conservation versus ground truth under shed
+// schedules, zero-loss Stop() races, the never-block hand-off, and a
+// failpoint-perturbed drain stress. The fleet's contract is the engine's
+// lifted one level: offers are counted in full on their home shards or
+// refused in full, and the disjoint merge preserves the Space Saving
+// guarantees globally.
 
 #include "cots/cots_fleet.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "core/flat_stream_summary.h"
+#include "core/published_view.h"
 #include "stream/exact_counter.h"
 #include "stream/zipf_generator.h"
 #include "util/failpoint.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace cots {
 namespace {
+
+using ExactMap = std::unordered_map<ElementId, uint64_t>;
 
 class CotsFleetTest : public ::testing::Test {
  protected:
@@ -45,6 +54,33 @@ class CotsFleetTest : public ::testing::Test {
     }
     return sum;
   }
+
+  // Ingests `s` through one handle in dispatch-sized batches.
+  static void IngestBatches(CotsFleet* fleet, const Stream& s) {
+    auto handle = fleet->RegisterThread();
+    ASSERT_NE(handle, nullptr);
+    for (size_t i = 0; i < s.size(); i += CotsFleet::kBatchDepth) {
+      const size_t len = std::min(CotsFleet::kBatchDepth, s.size() - i);
+      ASSERT_TRUE(handle->OfferBatch(s.data() + i, len));
+    }
+  }
+
+  // The per-key sandwich, the unmonitored-key bound, and conservation of
+  // a merged view against ground truth over the full offered stream.
+  static void ExpectSoundAgainst(const CounterSet& view, const ExactMap& exact,
+                                 uint64_t counted, uint64_t shed) {
+    EXPECT_EQ(view.stream_length(), counted);
+    EXPECT_EQ(view.shed_weight(), shed);
+    for (const auto& [key, truth] : exact) {
+      const auto c = view.Lookup(key);
+      if (c.has_value()) {
+        EXPECT_LE(truth, c->count + c->error) << "key " << key;
+        EXPECT_LE(c->count, truth + c->error) << "key " << key;
+      } else {
+        EXPECT_LE(truth, view.min_freq()) << "unmonitored key " << key;
+      }
+    }
+  }
 };
 
 TEST_F(CotsFleetTest, OptionsValidate) {
@@ -53,6 +89,12 @@ TEST_F(CotsFleetTest, OptionsValidate) {
   EXPECT_TRUE(opt.Validate().ok());
   EXPECT_GE(opt.num_shards, 1u);  // derived from hardware threads
   EXPECT_EQ(opt.merge_capacity, 8u);
+
+  CotsFleetOptions from_epsilon;
+  from_epsilon.num_shards = 2;
+  from_epsilon.engine.epsilon = 0.01;
+  EXPECT_TRUE(from_epsilon.Validate().ok());
+  EXPECT_EQ(from_epsilon.engine.capacity, 100u);
 
   CotsFleetOptions bad;
   bad.num_shards = 5000;
@@ -79,41 +121,149 @@ TEST_F(CotsFleetTest, ShardRoutingIsDeterministicAndInRange) {
   for (uint64_t h : hits) EXPECT_GT(h, 1000u);
 }
 
-// With one shard the fleet is the engine plus routing overhead: identical
-// counts, errors, stream length, and lookups for the same input.
+// With one shard the fleet is a sequential FlatStreamSummary plus routing:
+// identical counts, errors, bound, stream length, and lookups for the same
+// input (the CoTS engine is no longer what a shard runs).
 TEST_F(CotsFleetTest, SingleShardMatchesSingleEngine) {
   ZipfOptions zopt;
   zopt.alphabet_size = 500;
   zopt.alpha = 1.5;
   Stream s = MakeZipfStream(20000, zopt);
 
-  CotsSpaceSavingOptions eopt;
-  eopt.capacity = 64;
-  ASSERT_TRUE(eopt.Validate().ok());
-  CotsSpaceSaving engine(eopt);
-  {
-    auto handle = engine.RegisterThread();
-    ASSERT_NE(handle, nullptr);
-    ASSERT_TRUE(handle->OfferBatch(s.data(), s.size()));
-  }
-  engine.Stop();
+  FlatStreamSummary flat(64);
+  for (ElementId e : s) flat.Offer(e);
 
   CotsFleet fleet(MakeOptions(/*shards=*/1, /*capacity=*/64));
-  {
-    auto handle = fleet.RegisterThread();
-    ASSERT_NE(handle, nullptr);
-    ASSERT_TRUE(handle->OfferBatch(s.data(), s.size()));
-  }
+  IngestBatches(&fleet, s);
   fleet.Stop();
 
-  EXPECT_EQ(fleet.stream_length(), engine.stream_length());
-  EXPECT_EQ(fleet.num_counters(), engine.num_counters());
-  EXPECT_EQ(fleet.MinFreq(), engine.MinFreq());
-  for (const Counter& c : engine.CountersDescending()) {
+  EXPECT_EQ(fleet.stream_length(), flat.stream_length());
+  EXPECT_EQ(fleet.num_counters(), flat.size());
+  EXPECT_EQ(fleet.MinFreq(), flat.MinFreq());
+  EXPECT_EQ(fleet.shard(0).CountersDescending(), flat.CountersDescending());
+  for (const Counter& c : flat.CountersDescending()) {
     const auto mirrored = fleet.Lookup(c.key);
     ASSERT_TRUE(mirrored.has_value()) << "key " << c.key;
-    EXPECT_EQ(mirrored->count, c.count) << "key " << c.key;
-    EXPECT_EQ(mirrored->error, c.error) << "key " << c.key;
+    EXPECT_EQ(*mirrored, c) << "key " << c.key;
+  }
+}
+
+// Differential oracle: a single-producer fleet applies each shard's
+// substream in arrival order, so every shard must equal, bit for bit, a
+// sequential FlatStreamSummary fed that substream — counters, errors and
+// min_freq — both while running and after Stop().
+TEST_F(CotsFleetTest, SingleProducerShardsMatchSequentialFlatBitForBit) {
+  for (const double alpha : {0.8, 1.5}) {
+    SCOPED_TRACE(alpha);
+    ZipfOptions zopt;
+    zopt.alphabet_size = 5000;
+    zopt.alpha = alpha;
+    Stream s = MakeZipfStream(50000, zopt);
+
+    CotsFleet fleet(MakeOptions(/*shards=*/4, /*capacity=*/64));
+    std::vector<std::unique_ptr<FlatStreamSummary>> ref;
+    for (size_t i = 0; i < fleet.num_shards(); ++i) {
+      ref.push_back(std::make_unique<FlatStreamSummary>(64));
+    }
+    auto handle = fleet.RegisterThread();
+    ASSERT_NE(handle, nullptr);
+    // Mixed batch sizes plus weighted single offers.
+    Xoshiro256 rng(17);
+    size_t pos = 0;
+    while (pos < s.size()) {
+      if (rng.NextBounded(8) == 0) {
+        const uint64_t weight = 1 + rng.NextBounded(5);
+        ASSERT_TRUE(handle->Offer(s[pos], weight));
+        ref[fleet.ShardOf(s[pos])]->Offer(s[pos], weight);
+        ++pos;
+        continue;
+      }
+      const size_t len =
+          std::min<size_t>(1 + rng.NextBounded(700), s.size() - pos);
+      ASSERT_TRUE(handle->OfferBatch(s.data() + pos, len));
+      for (size_t i = pos; i < pos + len; ++i) {
+        ref[fleet.ShardOf(s[i])]->Offer(s[i]);
+      }
+      pos += len;
+    }
+    auto expect_equal = [&] {
+      for (size_t i = 0; i < fleet.num_shards(); ++i) {
+        const FlatStreamSummary& r = *ref[i];
+        EXPECT_EQ(fleet.shard(i).stream_length(), r.stream_length());
+        EXPECT_EQ(fleet.shard(i).num_counters(), r.size());
+        EXPECT_EQ(fleet.shard(i).MinFreq(),
+                  r.size() < r.capacity() ? 0 : r.MinFreq());
+        EXPECT_EQ(fleet.shard(i).CountersDescending(), r.CountersDescending())
+            << "shard " << i;
+      }
+    };
+    expect_equal();
+    handle.reset();
+    fleet.Stop();
+    expect_equal();
+    for (size_t i = 0; i < fleet.num_shards(); ++i) {
+      EXPECT_TRUE(fleet.shard(i).CheckInvariants()) << "shard " << i;
+    }
+  }
+}
+
+// Differential oracle: the published view (and GlobalView) equal the
+// reference MergeSerial(..., kDisjoint) over the same per-shard snapshots,
+// shed weights included, at merge capacities below, at and above the
+// per-shard capacity.
+TEST_F(CotsFleetTest, PublishedViewEqualsSerialDisjointMerge) {
+  ZipfOptions zopt;
+  zopt.alphabet_size = 3000;
+  zopt.alpha = 1.1;
+  Stream s = MakeZipfStream(40000, zopt);
+  for (const size_t merge_capacity : {size_t{20}, size_t{48}, size_t{500}}) {
+    SCOPED_TRACE(merge_capacity);
+    CotsFleetOptions opt = MakeOptions(/*shards=*/3, /*capacity=*/48);
+    opt.merge_capacity = merge_capacity;
+    CotsFleet fleet(opt);
+    {
+      auto handle = fleet.RegisterThread();
+      ASSERT_NE(handle, nullptr);
+      for (size_t i = 0; i < s.size(); i += 256) {
+        const size_t len = std::min<size_t>(256, s.size() - i);
+        if ((i / 256) % 5 == 3) {
+          ASSERT_TRUE(fleet.Shed(s.data() + i, len));
+        } else {
+          ASSERT_TRUE(handle->OfferBatch(s.data() + i, len));
+        }
+      }
+    }
+    fleet.Stop();
+    ASSERT_GT(fleet.shed_weight(), 0u);
+
+    std::vector<CounterSet> snapshots;
+    std::vector<uint64_t> mins;
+    std::vector<uint64_t> sheds;
+    for (size_t i = 0; i < fleet.num_shards(); ++i) {
+      snapshots.emplace_back(fleet.shard(i).CountersDescending(), 0,
+                             fleet.shard(i).stream_length());
+      mins.push_back(fleet.shard(i).MinFreq());
+      sheds.push_back(fleet.shard(i).shed_weight());
+    }
+    std::vector<const FrequencySummary*> parts;
+    for (const CounterSet& c : snapshots) parts.push_back(&c);
+    const CounterSet reference = MergeSerial(parts, mins, merge_capacity,
+                                             MergeMode::kDisjoint, &sheds);
+
+    const CounterSet global = fleet.GlobalView();
+    EXPECT_EQ(global.counters(), reference.counters());
+    EXPECT_EQ(global.min_freq(), reference.min_freq());
+    EXPECT_EQ(global.stream_length(), reference.stream_length());
+    EXPECT_EQ(global.shed_weight(), reference.shed_weight());
+
+    fleet.RefreshQueryView();
+    const PublishedView* view = fleet.AcquireQueryView();
+    ASSERT_NE(view, nullptr);
+    EXPECT_EQ(view->CountersDescending(), reference.counters());
+    EXPECT_EQ(view->min_freq(), reference.min_freq());
+    EXPECT_EQ(view->stream_length(), reference.stream_length());
+    EXPECT_EQ(view->shed_weight(), reference.shed_weight());
+    fleet.ReleaseQueryView();
   }
 }
 
@@ -172,6 +322,65 @@ TEST_F(CotsFleetTest, MergedViewBoundsHoldVersusExactCounter) {
   }
 }
 
+// Differential oracle under contention: producers race each other (so
+// runs are handed off between them) while randomly shedding batches; the
+// merged view must keep the sandwich and the min_freq bound over the full
+// offered stream, and counted + shed == offered exactly.
+TEST_F(CotsFleetTest, MultiProducerShedSchedulesStaySoundAndConserve) {
+  constexpr int kSchedules = 6;
+  constexpr int kThreads = 3;
+  constexpr int kBatches = 300;
+  constexpr uint64_t kBatch = 96;
+  for (int sched = 0; sched < kSchedules; ++sched) {
+    SCOPED_TRACE(sched);
+    CotsFleetOptions opt = MakeOptions(/*shards=*/3, /*capacity=*/24);
+    opt.view_refresh_interval = 1024;
+    CotsFleet fleet(opt);
+    std::mutex mu;
+    ExactMap exact;
+    std::atomic<uint64_t> offered{0};
+    std::atomic<uint64_t> shed{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        auto handle = fleet.RegisterThread();
+        ASSERT_NE(handle, nullptr);
+        Xoshiro256 rng(0x5eed + 7919 * static_cast<uint64_t>(sched * 8 + t));
+        ExactMap local;
+        ElementId batch[kBatch];
+        for (int b = 0; b < kBatches; ++b) {
+          for (uint64_t i = 0; i < kBatch; ++i) {
+            const bool hot = rng.NextBounded(10) < 6;
+            batch[i] = hot ? 1 + rng.NextBounded(6) : 100 + rng.NextBounded(900);
+          }
+          // Shed fraction varies per schedule: none, sparse, heavy.
+          if (rng.NextBounded(6) < static_cast<uint64_t>(sched % 3)) {
+            ASSERT_TRUE(fleet.Shed(batch, kBatch));
+            shed.fetch_add(kBatch, std::memory_order_relaxed);
+          } else {
+            ASSERT_NE(handle->OfferBatchBounded(batch, kBatch),
+                      OfferOutcome::kRefused);
+            offered.fetch_add(kBatch, std::memory_order_relaxed);
+          }
+          for (ElementId e : batch) ++local[e];
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        for (const auto& [k, v] : local) exact[k] += v;
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    fleet.Stop();
+
+    ASSERT_EQ(fleet.stream_length(), offered.load());
+    ASSERT_EQ(fleet.shed_weight(), shed.load());
+    ASSERT_EQ(SumShardCounts(fleet), offered.load());
+    ExpectSoundAgainst(fleet.GlobalView(), exact, offered.load(), shed.load());
+    for (size_t i = 0; i < fleet.num_shards(); ++i) {
+      EXPECT_TRUE(fleet.shard(i).CheckInvariants()) << "shard " << i;
+    }
+  }
+}
+
 TEST_F(CotsFleetTest, StopRefusesOffersWhole) {
   CotsFleet fleet(MakeOptions(/*shards=*/2, /*capacity=*/16));
   auto handle = fleet.RegisterThread();
@@ -182,7 +391,9 @@ TEST_F(CotsFleetTest, StopRefusesOffersWhole) {
   EXPECT_EQ(fleet.state(), EngineState::kStopped);
   EXPECT_FALSE(handle->Offer(7));
   EXPECT_FALSE(handle->OfferBatch(batch, 4));
+  EXPECT_FALSE(fleet.Shed(batch, 4));
   EXPECT_EQ(fleet.stream_length(), 4u);  // nothing from the refused calls
+  EXPECT_EQ(fleet.shed_weight(), 0u);
   fleet.Stop();  // idempotent
   EXPECT_EQ(fleet.state(), EngineState::kStopped);
 }
@@ -221,9 +432,7 @@ TEST_F(CotsFleetTest, StopWhileIngestingNeverHalfCountsBatches) {
   EXPECT_EQ(fleet.stream_length(), accepted.load());
   EXPECT_EQ(SumShardCounts(fleet), accepted.load());
   for (size_t s = 0; s < fleet.num_shards(); ++s) {
-    std::string why;
-    EXPECT_TRUE(fleet.shard(s).CheckInvariantsQuiescent(&why))
-        << "shard " << s << ": " << why;
+    EXPECT_TRUE(fleet.shard(s).CheckInvariants()) << "shard " << s;
   }
 }
 
@@ -246,17 +455,170 @@ TEST_F(CotsFleetTest, ConcurrentStopCallersAllObserveFrozenFleet) {
   for (std::thread& t : stoppers) t.join();
 }
 
-// 100 short rounds racing ingest against Stop() with the fleet router and
-// drain perturbed (plus the engine's own forced failure branches). Zero
-// loss and no half-counted batch, every round: accepted == frozen stream
-// length == sum of monitored counts.
+// The hand-off's Dekker pairing: once every producer's offers have
+// returned, every handed-off run has been applied by somebody — nothing
+// waits in an inbox for a Stop() that has not happened yet. Each round
+// starts producers together on few shards and checks the moment the last
+// one returns.
+TEST_F(CotsFleetTest, HandedOffRunsAreAppliedBeforeProducersFinish) {
+  if (COTS_FAILPOINTS_ENABLED) {
+    // Widen the window between a holder's last drain and its release,
+    // where the other producers' runs land.
+    FailpointSpec hold;
+    hold.action = FailpointSpec::Action::kSpin;
+    hold.num = 1;
+    hold.den = 2;
+    hold.spin_iters = 2000;
+    Failpoints::Global().Enable("fleet.shard_hold", hold);
+  }
+  constexpr int kRounds = 1000;
+  constexpr int kThreads = 4;
+  constexpr int kBatches = 1;
+  constexpr uint64_t kBatch = 64;
+  const uint64_t handoffs_before =
+      MetricsRegistry::Global().Snapshot().CounterValue("fleet.handoffs");
+  for (int round = 0; round < kRounds; ++round) {
+    CotsFleet fleet(MakeOptions(/*shards=*/1 + round % 2, /*capacity=*/16));
+    std::atomic<int> ready{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        auto handle = fleet.RegisterThread();
+        ASSERT_NE(handle, nullptr);
+        Xoshiro256 rng(31u * static_cast<uint64_t>(round * kThreads + t) + 1);
+        ElementId batch[kBatch];
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (int b = 0; b < kBatches; ++b) {
+          for (uint64_t i = 0; i < kBatch; ++i) {
+            batch[i] = 1 + rng.NextBounded(64);
+          }
+          ASSERT_TRUE(handle->OfferBatch(batch, kBatch));
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    ASSERT_EQ(fleet.stream_length(), uint64_t{kThreads} * kBatches * kBatch)
+        << "round " << round;
+    for (size_t s = 0; s < fleet.num_shards(); ++s) {
+      ASSERT_EQ(fleet.shard(s).queue_depth(), 0u) << "round " << round;
+    }
+  }
+  if (COTS_METRICS_ENABLED && std::thread::hardware_concurrency() > 1) {
+    // The property is vacuous unless runs were actually handed off.
+    EXPECT_GT(
+        MetricsRegistry::Global().Snapshot().CounterValue("fleet.handoffs"),
+        handoffs_before);
+  }
+}
+
+// The fleet runs only on its callers' threads: constructing, feeding,
+// publishing and stopping it leaves the process thread count unchanged.
+TEST_F(CotsFleetTest, FleetStartsNoThreads) {
+  auto threads = [] {
+    std::error_code ec;
+    size_t n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+         !ec && it != end; it.increment(ec)) {
+      ++n;
+    }
+    return n;
+  };
+  const size_t before = threads();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/task on this platform";
+  CotsFleetOptions opt = MakeOptions(/*shards=*/4, /*capacity=*/16);
+  opt.view_refresh_interval = 64;
+  CotsFleet fleet(opt);
+  auto handle = fleet.RegisterThread();
+  ASSERT_NE(handle, nullptr);
+  std::vector<ElementId> batch(512);
+  for (size_t i = 0; i < batch.size(); ++i) batch[i] = i % 97;
+  ASSERT_TRUE(handle->OfferBatch(batch.data(), batch.size()));
+  fleet.RefreshQueryView();
+  EXPECT_EQ(threads(), before);
+  handle.reset();
+  fleet.Stop();
+  EXPECT_EQ(threads(), before);
+}
+
+// Never-block regression: a holder wedges (bounded spin) inside a shard's
+// critical section while another producer keeps offering into that shard.
+// The producer must never wait — its runs go to the inbox, and once the
+// inbox is more than a dispatch batch deep the bounded offer reports
+// kOverloaded — and every handed-off run is counted once the wedge ends.
+TEST(CotsFleetNeverBlockTest, WedgedHolderYieldsOverloadedNotBlocked) {
+  if (!COTS_FAILPOINTS_ENABLED) {
+    GTEST_SKIP() << "build with -DCOTS_FAILPOINTS=ON to run injection";
+  }
+  CotsFleetOptions opt;
+  opt.num_shards = 2;
+  opt.engine.capacity = 64;
+  ASSERT_TRUE(opt.Validate().ok());
+  CotsFleet fleet(opt);
+
+  // A full dispatch batch whose every key is homed on shard 0.
+  std::vector<ElementId> batch;
+  for (ElementId e = 1; batch.size() < CotsFleet::kBatchDepth; ++e) {
+    if (fleet.ShardOf(e) == 0) batch.push_back(e);
+  }
+
+  FailpointSpec stall;
+  stall.action = FailpointSpec::Action::kSpin;
+  stall.spin_iters = 50'000'000;  // ~1 s of wedge, strictly bounded
+  stall.max_activations = 1;
+  Failpoints::Global().Enable("fleet.shard_hold", stall);
+
+  std::atomic<bool> wedger_done{false};
+  std::thread wedger([&] {
+    auto handle = fleet.RegisterThread();
+    ASSERT_NE(handle, nullptr);
+    ASSERT_TRUE(handle->Offer(batch[0]));  // takes shard 0, then wedges
+    wedger_done.store(true);
+  });
+  while (Failpoints::Global().Activations("fleet.shard_hold") == 0) {
+    std::this_thread::yield();
+  }
+
+  auto handle = fleet.RegisterThread();
+  ASSERT_NE(handle, nullptr);
+  uint64_t offered = 0;
+  bool saw_overloaded = false;
+  // Completing this loop while the holder is still wedged IS the liveness
+  // property under test.
+  for (int iter = 0; iter < 8 && !saw_overloaded; ++iter) {
+    const OfferOutcome outcome =
+        handle->OfferBatchBounded(batch.data(), batch.size());
+    ASSERT_NE(outcome, OfferOutcome::kRefused);
+    offered += batch.size();
+    saw_overloaded = outcome == OfferOutcome::kOverloaded;
+  }
+  const bool wedge_was_live = !wedger_done.load();
+  EXPECT_TRUE(wedge_was_live) << "the wedge ended before the offers did";
+  EXPECT_TRUE(saw_overloaded);
+  EXPECT_GE(fleet.deadline_misses(), 1u);
+  EXPECT_GE(fleet.shard(0).queue_depth(), 2 * CotsFleet::kBatchDepth);
+  wedger.join();
+
+  // The holder drained the inbox on release: everything is counted.
+  EXPECT_EQ(fleet.stream_length(), offered + 1);
+  EXPECT_EQ(fleet.shard(0).queue_depth(), 0u);
+  handle.reset();
+  fleet.Stop();
+  EXPECT_EQ(fleet.stream_length(), offered + 1);
+  EXPECT_TRUE(fleet.shard(0).CheckInvariants());
+}
+
+// 100 short rounds racing ingest against Stop() with the router, the
+// shard critical section, the hand-off retry and the drain perturbed.
+// Zero loss and no half-counted batch, every round: accepted == frozen
+// stream length == sum of monitored counts, and every inbox is empty.
 TEST(CotsFleetFailpointStressTest, ZeroLossAcrossHundredPerturbedDrainRounds) {
   if (!COTS_FAILPOINTS_ENABLED) {
     GTEST_SKIP() << "build with -DCOTS_FAILPOINTS=ON to run injection";
   }
 
   constexpr int kRounds = 100;
-  constexpr int kThreads = 2;
+  constexpr int kThreads = 3;
   constexpr uint64_t kBatch = 48;
 
   for (int round = 0; round < kRounds; ++round) {
@@ -268,27 +630,22 @@ TEST(CotsFleetFailpointStressTest, ZeroLossAcrossHundredPerturbedDrainRounds) {
     yield.den = 4;
     yield.seed = round_seed;
     Failpoints::Global().Enable("fleet.dispatch_shard", yield);
-    Failpoints::Global().Enable("fleet.drain_shard", yield);
+    Failpoints::Global().Enable("fleet.handoff_retry", yield);
     Failpoints::Global().Enable("fleet.drain_wait", yield);
-    Failpoints::Global().Enable("summary.dispatch", yield);
+    Failpoints::Global().Enable("fleet.stop_drain", yield);
 
-    FailpointSpec overflow;
-    overflow.action = FailpointSpec::Action::kTrigger;
-    overflow.num = 1;
-    overflow.den = 4;
-    overflow.seed = round_seed ^ 0xdeadbeef;
-    Failpoints::Global().Enable("request_queue.force_overflow", overflow);
-
-    FailpointSpec defer;
-    defer.action = FailpointSpec::Action::kTrigger;
-    defer.num = 1;
-    defer.den = 2;
-    defer.seed = round_seed ^ 0xc0ffee;
-    Failpoints::Global().Enable("summary.force_overwrite_defer", defer);
+    FailpointSpec hold;
+    hold.action = FailpointSpec::Action::kSpin;
+    hold.num = 1;
+    hold.den = 3;
+    hold.spin_iters = 2000;
+    hold.seed = round_seed ^ 0xdeadbeef;
+    Failpoints::Global().Enable("fleet.shard_hold", hold);
 
     CotsFleetOptions opt;
     opt.num_shards = 2 + static_cast<size_t>(round % 2);
     opt.engine.capacity = 8;
+    opt.view_refresh_interval = round % 3 == 0 ? 256 : 0;
     ASSERT_TRUE(opt.Validate().ok());
     CotsFleet fleet(opt);
 
@@ -320,6 +677,8 @@ TEST(CotsFleetFailpointStressTest, ZeroLossAcrossHundredPerturbedDrainRounds) {
     ASSERT_EQ(fleet.stream_length(), accepted.load()) << "round " << round;
     uint64_t conserved = 0;
     for (size_t s = 0; s < fleet.num_shards(); ++s) {
+      ASSERT_TRUE(fleet.shard(s).CheckInvariants())
+          << "round " << round << " shard " << s;
       for (const Counter& c : fleet.shard(s).CountersDescending()) {
         conserved += c.count;
       }
