@@ -235,13 +235,11 @@ double TimeIndependent(const Stream& stream, int threads, size_t capacity,
 }
 
 double TimeCots(const Stream& stream, int threads, size_t capacity,
-                CotsRunStats* stats, size_t hash_block_entries,
-                SummaryLayout layout) {
+                CotsRunStats* stats, size_t hash_block_entries) {
   CotsSpaceSavingOptions opt;
   opt.capacity = capacity;
   opt.hash_block_entries = hash_block_entries;
   opt.max_threads = threads + 8;
-  opt.layout = layout;
   if (!opt.Validate().ok()) std::abort();
   CotsSpaceSaving engine(opt);
   Stopwatch timer;

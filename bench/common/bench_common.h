@@ -141,8 +141,7 @@ struct CotsRunStats {
 
 /// CoTS engine; threads slice the stream contiguously.
 double TimeCots(const Stream& stream, int threads, size_t capacity,
-                CotsRunStats* stats = nullptr, size_t hash_block_entries = 2,
-                SummaryLayout layout = SummaryLayout::kLinked);
+                CotsRunStats* stats = nullptr, size_t hash_block_entries = 2);
 
 // ---- Table printing ----
 

@@ -1,11 +1,12 @@
 // Fleet scaling (DESIGN.md §9): throughput of the CotsFleet — single-writer
 // FlatStreamSummary shards with cooperative hand-off — over a shards x
 // threads sweep, against the single CotsSpaceSaving engine at its best
-// thread count. With one shard per core the fleet's throughput should
-// exceed the single engine's peak from 2 shards up on multi-core
-// hardware; rows whose thread count exceeds the machine's hardware threads
-// are stamped "oversubscribed" in the JSON report and excluded from the
-// verdict. CI fails a FAIL verdict (SKIPPED, on a 1-core machine, passes).
+// thread count. Rows whose thread count exceeds the machine's hardware
+// threads are stamped "oversubscribed" in the JSON report and excluded
+// from the verdict, which PASSes when the best in-core multi-shard fleet
+// rate is at least kMinFleetEngineRatio times the engine's in-core peak.
+// The ratio is printed and recorded in the JSON "verdict" row. CI fails a
+// FAIL verdict (SKIPPED, on a 1-core machine, passes).
 //
 // The bench is also a correctness gate (exit 1 on violation):
 //   * every merged global view must keep the Space Saving bounds versus
@@ -14,14 +15,15 @@
 //     == n == sum of per-shard monitored counts);
 //   * the engine's per-bucket request rings are sized from the ingest
 //     batch depth (CotsSpaceSavingOptions::request_ring_capacity), so on
-//     in-core rows (threads <= hardware threads) the mutex overflow
+//     in-core engine rows (threads <= hardware threads) the overflow
 //     fallback must stay near zero — a growing
 //     "request_queue.fallback_allocations" delta there means the sizing
-//     regressed (metrics builds only; fleet rows never touch the rings).
-//     Oversubscribed rows are reported but not gated: when the draining
-//     holder loses the core for a whole timeslice, producers exhausting
-//     their bounded spin and diverting to the fallback is the designed
-//     don't-block behaviour, and no finite ring prevents it.
+//     regressed (metrics builds only; the fleet has no request rings, so
+//     only engine elements count toward the budget). Oversubscribed rows
+//     are reported but not gated: when the draining holder loses the core
+//     for a whole timeslice, producers exhausting their bounded spin and
+//     diverting to the fallback is the designed don't-block behaviour, and
+//     no finite ring prevents it.
 
 #include <algorithm>
 #include <cstdio>
@@ -42,6 +44,9 @@ namespace {
 
 int g_violations = 0;
 
+// The multi-shard fleet must beat the single engine by at least this much.
+constexpr double kMinFleetEngineRatio = 3.0;
+
 double TimeFleet(const Stream& stream, int threads, size_t shards,
                  size_t capacity) {
   CotsFleetOptions opt;
@@ -60,7 +65,7 @@ double TimeFleet(const Stream& stream, int threads, size_t shards,
       const uint64_t slice = n / static_cast<uint64_t>(threads);
       const uint64_t begin = slice * static_cast<uint64_t>(t);
       const uint64_t end = t == threads - 1 ? n : begin + slice;
-      constexpr uint64_t kBatch = BatchIngestOptions::kDefaultBatchDepth;
+      constexpr uint64_t kBatch = CotsFleet::kBatchDepth;
       for (uint64_t i = begin; i < end; i += kBatch) {
         const uint64_t len = std::min(kBatch, end - i);
         if (!handle->OfferBatch(stream.data() + i, len)) std::abort();
@@ -83,7 +88,7 @@ void CheckFleetAccuracy(const Stream& stream, const ExactCounter& exact,
   {
     auto handle = fleet.RegisterThread();
     if (handle == nullptr) std::abort();
-    constexpr uint64_t kBatch = BatchIngestOptions::kDefaultBatchDepth;
+    constexpr uint64_t kBatch = CotsFleet::kBatchDepth;
     for (uint64_t i = 0; i < stream.size(); i += kBatch) {
       const uint64_t len = std::min(kBatch, stream.size() - i);
       if (!handle->OfferBatch(stream.data() + i, len)) std::abort();
@@ -166,10 +171,9 @@ int main(int argc, char** argv) {
   ExactCounter exact(stream);
 
   // Ring-sizing regression gate (see the file comment): fallbacks are
-  // attributed per row, and only in-core rows — where the holder keeps its
-  // core and ring depth is what decides whether a burst fits — count
-  // against the budget. Accuracy runs ingest single-threaded and are
-  // gated too.
+  // attributed per engine row, and only in-core rows — where the holder
+  // keeps its core and ring depth is what decides whether a burst fits —
+  // count against the budget.
   uint64_t incore_fallbacks = 0;
   uint64_t incore_elements = 0;
   uint64_t oversub_fallbacks = 0;
@@ -213,41 +217,29 @@ int main(int argc, char** argv) {
     const size_t shards = shard_counts[si];
     std::vector<std::string> row = {"fleet s=" + std::to_string(shards)};
     for (int t : thread_counts) {
-      const uint64_t fb_before = FallbackAllocations();
       const double seconds = BestOf(
           config, [&] { return TimeFleet(stream, t, shards, config.capacity); });
-      const uint64_t fb_delta = FallbackAllocations() - fb_before;
       const double eps = static_cast<double>(n) / seconds;
-      if (t <= hw) {
-        fleet_peak_eps[si] = std::max(fleet_peak_eps[si], eps);
-        incore_fallbacks += fb_delta;
-        incore_elements += n * static_cast<uint64_t>(config.repeats);
-      } else {
-        oversub_fallbacks += fb_delta;
-      }
+      if (t <= hw) fleet_peak_eps[si] = std::max(fleet_peak_eps[si], eps);
       BenchReport::Global().AddTiming(
           "fleet s=" + std::to_string(shards) + " t=" + std::to_string(t),
           seconds,
           {{"shards", static_cast<double>(shards)},
            {"threads", static_cast<double>(t)},
            {"n", static_cast<double>(n)},
-           {"rate_eps", eps},
-           {"ring_fallbacks", static_cast<double>(fb_delta)}});
+           {"rate_eps", eps}});
       row.push_back(FormatRate(eps));
     }
     PrintRow(row);
-    const uint64_t fb_before = FallbackAllocations();
     CheckFleetAccuracy(stream, exact, shards, config.capacity);
-    incore_fallbacks += FallbackAllocations() - fb_before;
-    incore_elements += n;
   }
 
   // Ring-sizing regression gate: with rings derived from the batch depth
   // the overflow fallback should be a rounding error relative to the
   // in-core ingest volume.
   const uint64_t fallback_budget = incore_elements / 1000;  // 0.1%
-  std::printf("\nrequest_queue.fallback_allocations: in-core %llu "
-              "(budget %llu over %llu elements), oversubscribed %llu "
+  std::printf("\nrequest_queue.fallback_allocations: in-core engine %llu "
+              "(budget %llu over %llu engine elements), oversubscribed %llu "
               "(not gated)\n",
               static_cast<unsigned long long>(incore_fallbacks),
               static_cast<unsigned long long>(fallback_budget),
@@ -268,23 +260,35 @@ int main(int argc, char** argv) {
   // fewer cores than shards every fleet row is timeshared and the verdict
   // is vacuous — say so instead of claiming scaling.
   std::printf("single-engine peak: %s\n", FormatRate(engine_peak_eps).c_str());
-  bool multi_shard_beats_engine = false;
+  double fleet_best_eps = 0.0;
   bool any_multi_shard_measured = false;
   for (size_t si = 0; si < shard_counts.size(); ++si) {
     if (shard_counts[si] < 2) continue;
     if (static_cast<int>(shard_counts[si]) > hw) continue;
     any_multi_shard_measured = true;
-    if (fleet_peak_eps[si] > engine_peak_eps) multi_shard_beats_engine = true;
+    fleet_best_eps = std::max(fleet_best_eps, fleet_peak_eps[si]);
   }
   if (!any_multi_shard_measured) {
     std::printf("scaling verdict: SKIPPED (machine has %d hardware "
                 "thread(s); all multi-shard rows are oversubscribed)\n",
                 hw);
+    BenchReport::Global().AddTiming("verdict", 0.0, {},
+                                    {{"verdict", "SKIPPED"}});
   } else {
-    std::printf("scaling verdict: %s (multi-shard fleet %s single-engine "
-                "peak on in-core rows)\n",
-                multi_shard_beats_engine ? "PASS" : "FAIL",
-                multi_shard_beats_engine ? "exceeds" : "does not exceed");
+    const double ratio = fleet_best_eps / engine_peak_eps;
+    const bool pass = ratio >= kMinFleetEngineRatio;
+    std::printf("fleet/engine ratio: %s (best in-core multi-shard fleet %s "
+                "vs single-engine peak %s; PASS needs >= %.0fx)\n",
+                FormatRatio(ratio).c_str(), FormatRate(fleet_best_eps).c_str(),
+                FormatRate(engine_peak_eps).c_str(), kMinFleetEngineRatio);
+    std::printf("scaling verdict: %s\n", pass ? "PASS" : "FAIL");
+    BenchReport::Global().AddTiming(
+        "verdict", 0.0,
+        {{"fleet_engine_ratio", ratio},
+         {"min_fleet_engine_ratio", kMinFleetEngineRatio},
+         {"fleet_best_rate_eps", fleet_best_eps},
+         {"engine_peak_rate_eps", engine_peak_eps}},
+        {{"verdict", pass ? "PASS" : "FAIL"}});
   }
   if (g_violations != 0) {
     std::fprintf(stderr, "%d correctness violation(s)\n", g_violations);

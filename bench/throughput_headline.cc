@@ -1,15 +1,14 @@
 // Reproduces the headline efficiency claim (Abstract / Sections 1 and 6):
 // "the efficiency is established by peak throughput of more than 60 million
-// elements per second". Sweeps alpha x threads x summary layout for CoTS
-// and reports the peak elements/second observed, alongside the sequential
-// baseline in both layouts.
+// elements per second". Sweeps alpha x threads for CoTS and reports the
+// peak elements/second observed, alongside the sequential baseline in both
+// summary layouts.
 //
-// The layout axis (linked node lists vs the flat SIMD-scanned arrays of
-// core/flat_stream_summary.h) is what tools/perf_smoke.py gates on: the
-// flat/linked rate ratio is machine-insensitive, so CI can catch a flat
-// regression without absolute-throughput flakiness. Linked rows keep their
-// historical labels so BENCH_throughput.json trajectories stay comparable;
-// flat rows add a "flat" to the label; every row carries a "layout" tag.
+// The sequential layout pair (linked node lists vs the flat SIMD-scanned
+// arrays of core/flat_stream_summary.h) is what tools/perf_smoke.py gates
+// on: the flat/linked rate ratio is machine-insensitive, so CI can catch a
+// flat regression without absolute-throughput flakiness. Sequential rows
+// carry a "layout" tag; flat rows add a "flat" to the label.
 
 #include <algorithm>
 #include <cstdio>
@@ -29,69 +28,65 @@ int main(int argc, char** argv) {
   PrintHeader("Headline: peak CoTS throughput (elements/second)", config);
   std::printf("stream: %llu elements\n\n", static_cast<unsigned long long>(n));
 
-  PrintRow({"alpha", "layout", "seq rate", "1-thread", "best CoTS",
+  PrintRow({"alpha", "seq linked", "seq flat", "1-thread", "best CoTS",
             "at threads", "bulk incs"});
   double peak = 0.0;
   for (double alpha : alphas) {
     Stream stream = MakeStream(n, alpha, config);
+    const std::string a = "a=" + std::to_string(alpha);
+    std::vector<std::string> cells = {a.substr(0, 5)};
     for (SummaryLayout layout :
          {SummaryLayout::kLinked, SummaryLayout::kFlat}) {
-      const bool flat = layout == SummaryLayout::kFlat;
-      const std::string infix = flat ? "flat " : "";
-      const std::vector<std::pair<std::string, std::string>> tags = {
-          {"layout", SummaryLayoutName(layout)}};
-
       const double seq = BestOf(config, [&] {
         return TimeSequential(stream, config.capacity, layout);
       });
-      double best = 1e100;
-      double single = 0.0;
-      int best_t = 0;
-      uint64_t best_bulk = 0;
-      for (int t : threads) {
-        CotsRunStats stats;
-        const double seconds = BestOf(config, [&] {
-          return TimeCots(stream, t, config.capacity, &stats, 2, layout);
-        });
-        if (t == 1) single = seconds;
-        if (seconds < best) {
-          best = seconds;
-          best_t = t;
-          best_bulk = stats.bulk_increments;
-        }
-      }
-      const double rate = static_cast<double>(n) / best;
-      peak = std::max(peak, rate);
+      const bool flat = layout == SummaryLayout::kFlat;
       BenchReport::Global().AddTiming(
-          "sequential " + infix + "a=" + std::to_string(alpha), seq,
+          std::string("sequential ") + (flat ? "flat " : "") + a, seq,
           {{"alpha", alpha}, {"rate_eps", static_cast<double>(n) / seq}},
-          tags);
-      // The single-thread row isolates the batched-ingest pipeline (prefetch
-      // + coalescing) from scaling effects: it is the per-core ingest cost.
-      if (single > 0.0) {
-        BenchReport::Global().AddTiming(
-            "cots " + infix + "single-thread a=" + std::to_string(alpha),
-            single,
-            {{"alpha", alpha},
-             {"threads", 1.0},
-             {"rate_eps", static_cast<double>(n) / single}},
-            tags);
-      }
-      BenchReport::Global().AddTiming(
-          "cots " + infix + "a=" + std::to_string(alpha), best,
-          {{"alpha", alpha},
-           {"threads", static_cast<double>(best_t)},
-           {"rate_eps", rate},
-           {"bulk_increments", static_cast<double>(best_bulk)}},
-          tags);
-      PrintRow({("a=" + std::to_string(alpha)).substr(0, 5),
-                SummaryLayoutName(layout),
-                FormatRate(static_cast<double>(n) / seq),
-                single > 0.0 ? FormatRate(static_cast<double>(n) / single)
-                             : std::string("-"),
-                FormatRate(rate), std::to_string(best_t),
-                std::to_string(best_bulk)});
+          {{"layout", SummaryLayoutName(layout)}});
+      cells.push_back(FormatRate(static_cast<double>(n) / seq));
     }
+
+    double best = 1e100;
+    double single = 0.0;
+    int best_t = 0;
+    uint64_t best_bulk = 0;
+    for (int t : threads) {
+      CotsRunStats stats;
+      const double seconds = BestOf(config, [&] {
+        return TimeCots(stream, t, config.capacity, &stats);
+      });
+      if (t == 1) single = seconds;
+      if (seconds < best) {
+        best = seconds;
+        best_t = t;
+        best_bulk = stats.bulk_increments;
+      }
+    }
+    const double rate = static_cast<double>(n) / best;
+    peak = std::max(peak, rate);
+    // The single-thread row isolates the batched-ingest pipeline (prefetch
+    // + coalescing) from scaling effects: it is the per-core ingest cost.
+    if (single > 0.0) {
+      BenchReport::Global().AddTiming(
+          "cots single-thread " + a, single,
+          {{"alpha", alpha},
+           {"threads", 1.0},
+           {"rate_eps", static_cast<double>(n) / single}});
+    }
+    BenchReport::Global().AddTiming(
+        "cots " + a, best,
+        {{"alpha", alpha},
+         {"threads", static_cast<double>(best_t)},
+         {"rate_eps", rate},
+         {"bulk_increments", static_cast<double>(best_bulk)}});
+    cells.push_back(single > 0.0 ? FormatRate(static_cast<double>(n) / single)
+                                 : std::string("-"));
+    cells.push_back(FormatRate(rate));
+    cells.push_back(std::to_string(best_t));
+    cells.push_back(std::to_string(best_bulk));
+    PrintRow(cells);
   }
   BenchReport::Global().AddTiming("peak", static_cast<double>(n) / peak,
                                   {{"rate_eps", peak}});

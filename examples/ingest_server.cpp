@@ -115,7 +115,6 @@ struct ServerConfig {
   bool idle_selftest = false;
   int seconds = 5;
   int clients = 3;
-  uint64_t keys_per_client_burst = 4096;
   // Deterministic overload hook: force the Shedding state while
   // force_shed_at <= ingested + shed < force_recover_at. 0 = disabled.
   uint64_t force_shed_at = 0;
@@ -318,7 +317,6 @@ class IngestServer {
       std::fprintf(stderr, "ingest_server: fleet session limit reached\n");
       return;
     }
-    run_handle_ = handle.get();
     auto last_report = SteadyClock::now();
     auto last_tick = last_report;
     SteadyClock::time_point stop_begin{};
@@ -344,9 +342,9 @@ class IngestServer {
         const int fd = events[i].data.fd;
         const uint32_t ev = events[i].events;
         if (fd == listen_fd_) {
-          Accept();
+          Accept(handle.get());
         } else if (fd == stats_listen_fd_) {
-          AcceptStats();
+          AcceptStats(handle.get());
         } else if (stats_conns_.count(fd) != 0) {
           if ((ev & EPOLLOUT) != 0) FlushStatsOut(fd);
           if (stats_conns_.count(fd) != 0 && (ev & ~EPOLLOUT) != 0) {
@@ -362,7 +360,7 @@ class IngestServer {
       const auto now = SteadyClock::now();
       if (now - last_tick >= std::chrono::milliseconds(50)) {
         if (!stopping) SampleAdmission();
-        SweepDeadlines(now);
+        SweepDeadlines(now, handle.get());
         last_tick = now;
       }
       if (stopping) {
@@ -388,7 +386,6 @@ class IngestServer {
       ::close(fd);
     }
     connections_.clear();
-    run_handle_ = nullptr;
   }
 
   void Close() {
@@ -481,7 +478,7 @@ class IngestServer {
     }
   }
 
-  void Accept() {
+  void Accept(CotsFleet::ThreadHandle* handle) {
     for (;;) {
       if (listen_fd_ < 0) return;
       const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
@@ -492,7 +489,7 @@ class IngestServer {
           // Out of descriptors: make room by dropping the oldest-idle
           // connection rather than silently ceasing to accept (the
           // pending connection stays queued and is retried next loop).
-          if (EvictOldestIdle()) continue;
+          if (EvictOldestIdle(handle)) continue;
         }
         return;
       }
@@ -511,7 +508,7 @@ class IngestServer {
     }
   }
 
-  void AcceptStats() {
+  void AcceptStats(CotsFleet::ThreadHandle* handle) {
     for (;;) {
       if (stats_listen_fd_ < 0) return;
       const int fd =
@@ -519,7 +516,7 @@ class IngestServer {
       if (fd < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
         if (errno == EINTR || errno == ECONNABORTED) continue;
-        if ((errno == EMFILE || errno == ENFILE) && EvictOldestIdle()) {
+        if ((errno == EMFILE || errno == ENFILE) && EvictOldestIdle(handle)) {
           continue;
         }
         return;
@@ -540,7 +537,7 @@ class IngestServer {
   // EMFILE relief: close the ingest connection idle the longest (its
   // decoded backlog is flushed first, so nothing accepted is lost), or an
   // idle stats connection if there is no ingest connection to shed.
-  bool EvictOldestIdle() {
+  bool EvictOldestIdle(CotsFleet::ThreadHandle* handle) {
     int victim = -1;
     SteadyClock::time_point oldest = SteadyClock::time_point::max();
     for (const auto& [fd, conn] : connections_) {
@@ -550,7 +547,7 @@ class IngestServer {
       }
     }
     if (victim >= 0) {
-      CloseConnection(victim);
+      CloseConnection(victim, handle);
       ++emfile_evictions_;
       COTS_COUNTER_INC("server.emfile_evictions");
       return true;
@@ -708,13 +705,14 @@ class IngestServer {
   // Periodic housekeeping: evict connections whose buffered output has
   // been stuck past its deadline (slow readers) and stats connections
   // that idle without ever completing a command.
-  void SweepDeadlines(SteadyClock::time_point now) {
+  void SweepDeadlines(SteadyClock::time_point now,
+                      CotsFleet::ThreadHandle* handle) {
     std::vector<int> slow;
     for (const auto& [fd, conn] : connections_) {
       if (!conn.out.empty() && now >= conn.out_deadline) slow.push_back(fd);
     }
     for (int fd : slow) {
-      CloseConnection(fd);
+      CloseConnection(fd, handle);
       ++slow_client_evictions_;
       COTS_COUNTER_INC("server.slow_client_evictions");
     }
@@ -742,10 +740,10 @@ class IngestServer {
 
   // Drops an ingest connection after flushing its decoded backlog, so an
   // eviction never discards keys the server already read off the wire.
-  void CloseConnection(int fd) {
+  void CloseConnection(int fd, CotsFleet::ThreadHandle* handle) {
     auto it = connections_.find(fd);
     if (it == connections_.end()) return;
-    FlushPendingNoHandle(&it->second);
+    FlushPending(&it->second, handle);
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
     ::close(fd);
     connections_.erase(it);
@@ -889,18 +887,6 @@ class IngestServer {
     conn->pending.clear();
   }
 
-  // Eviction-path flush: no thread handle in scope, so route through the
-  // shed path if shedding, else a fresh bounded offer via a short-lived
-  // registration is overkill — the server thread always has its handle
-  // during Run, so evictions only happen with `run_handle_` set.
-  void FlushPendingNoHandle(Connection* conn) {
-    if (run_handle_ != nullptr) {
-      FlushPending(conn, run_handle_);
-    } else {
-      conn->pending.clear();
-    }
-  }
-
   ServerConfig config_;
   CotsFleet* fleet_;
   cots::AdmissionController admission_;
@@ -911,7 +897,6 @@ class IngestServer {
   std::unordered_map<int, Connection> connections_;
   std::unordered_map<int, StatsConn> stats_conns_;
   std::vector<cots::GaugeId> shard_gauges_;
-  CotsFleet::ThreadHandle* run_handle_ = nullptr;  // valid inside Run
   bool forced_shed_ = false;
   uint64_t ingested_ = 0;
   uint64_t shed_ = 0;

@@ -21,9 +21,10 @@ namespace cots {
 
 class PublishedView;
 
-/// Physical layout of a Space Saving summary. Every engine whose options
-/// carry a SummaryLayout implements identical algorithmic guarantees in
-/// both layouts; the choice is purely a memory-layout/performance knob:
+/// Physical layout of a sequential Space Saving summary
+/// (SpaceSavingOptions::layout). Both layouts implement identical
+/// algorithmic guarantees; the choice is purely a memory-layout/performance
+/// knob:
 ///
 ///   * kLinked — the paper-faithful Stream Summary bucket list (Fig 2):
 ///     doubly-linked frequency buckets, O(1) amortized updates, elements

@@ -50,13 +50,14 @@ class COTS_CACHE_ALIGNED PublishedView {
  public:
   /// Builds a view from any counter snapshot (sorted or not; Build sorts by
   /// count descending, ties by key ascending — the FrequencySummary order).
-  /// `stream_length` and `min_freq` must be read at the start of the
-  /// refresh that produced `counters`; `sequence` is the publisher's
-  /// monotone refresh number (used by tests to order observations).
-  /// `shed_weight` is the cumulative load-shed weight absorbed by the
-  /// publisher (DESIGN.md §13); publishers fold it into every counter's
-  /// error and into `min_freq` BEFORE calling Build — the field here is
-  /// pure accounting so callers can reconstruct offered = counted + shed.
+  /// `stream_length` and `min_freq` come from the refresh that produced
+  /// `counters`, with `stream_length` covering their mass; `sequence` is
+  /// the publisher's monotone refresh number (used by tests to order
+  /// observations). `shed_weight` is the cumulative load-shed weight
+  /// absorbed by the fleet (DESIGN.md §13); the fleet folds it into every
+  /// counter's error and into `min_freq` BEFORE calling Build — the field
+  /// here is pure accounting so callers can reconstruct offered = counted
+  /// + shed.
   static const PublishedView* Build(std::vector<Counter> counters,
                                     uint64_t stream_length, uint64_t min_freq,
                                     uint64_t sequence,

@@ -30,15 +30,12 @@ uint64_t AdmissionController::samples_in(AdmissionState state) const {
 }
 
 AdmissionState AdmissionController::Severity(const AdmissionSignals& signals,
-                                             uint64_t spill_delta,
                                              uint64_t overloaded_delta) const {
   if (signals.queue_depth >= options_.shedding_queue_depth ||
-      spill_delta >= options_.shedding_spills ||
       overloaded_delta >= options_.shedding_overloaded_offers) {
     return AdmissionState::kShedding;
   }
   if (signals.queue_depth >= options_.backpressure_queue_depth ||
-      spill_delta >= options_.backpressure_spills ||
       overloaded_delta >= options_.backpressure_overloaded_offers) {
     return AdmissionState::kBackpressure;
   }
@@ -46,21 +43,18 @@ AdmissionState AdmissionController::Severity(const AdmissionSignals& signals,
 }
 
 AdmissionState AdmissionController::Update(const AdmissionSignals& signals) {
-  // Cumulative inputs -> per-sample deltas. The first sample establishes
+  // Cumulative input -> per-sample delta. The first sample establishes
   // the baseline so a controller attached to a long-running process does
   // not read the whole history as one catastrophic interval.
-  uint64_t spill_delta = 0;
   uint64_t overloaded_delta = 0;
   if (have_baseline_) {
-    spill_delta = signals.spills - last_spills_;
     overloaded_delta = signals.overloaded_offers - last_overloaded_;
   }
-  last_spills_ = signals.spills;
   last_overloaded_ = signals.overloaded_offers;
   have_baseline_ = true;
 
   const AdmissionState current = state_.load(std::memory_order_relaxed);
-  const AdmissionState severity = Severity(signals, spill_delta, overloaded_delta);
+  const AdmissionState severity = Severity(signals, overloaded_delta);
 
   AdmissionState next = current;
   if (severity > current) {
@@ -74,7 +68,6 @@ AdmissionState AdmissionController::Update(const AdmissionSignals& signals) {
     // count as recovery.
     const bool calm =
         signals.queue_depth < options_.backpressure_queue_depth / 2 &&
-        spill_delta < options_.backpressure_spills / 2 &&
         overloaded_delta == 0;
     if (calm) {
       if (++calm_streak_ >= options_.calm_samples_to_step_down) {

@@ -2,11 +2,11 @@
 //
 // Overload admission control (DESIGN.md §13).
 //
-// The engines themselves never block and never lie: a stalled shard makes
-// OfferBatch spill to the lock-free overflow path and report
-// OfferOutcome::kOverloaded (the batch is still fully counted), and shed
-// traffic is absorbed into a per-shard shed_weight that widens every
-// published bound. What the engines do NOT decide is *when* to stop
+// The fleet itself never blocks and never lies: a shard whose inbox has
+// fallen more than a batch behind makes CotsFleet's OfferBatchBounded
+// report OfferOutcome::kOverloaded (the batch is still fully counted), and
+// shed traffic is absorbed into a per-shard shed_weight that widens every
+// published bound. What the fleet does NOT decide is *when* to stop
 // admitting traffic — that policy lives here.
 //
 // AdmissionController is a three-state machine:
@@ -15,10 +15,9 @@
 //      ▲              ▲              │
 //      └──────────────┴──────────────┘  (after N consecutive calm samples)
 //
-// driven by sampled signals: the summary queue-depth watermark, the
-// ring-fallback (overflow spill) rate, and the rate of kOverloaded offer
-// outcomes. Escalation is immediate (one bad sample can jump
-// Healthy→Shedding); de-escalation requires `calm_samples_to_step_down`
+// driven by sampled signals: the queue-depth watermark and the rate of
+// kOverloaded offer outcomes. Escalation is immediate (one bad sample can
+// jump Healthy→Shedding); de-escalation requires `calm_samples_to_step_down`
 // consecutive calm samples per step, so the state does not flap at the
 // threshold. Update() is meant to run on a sampling cadence (the ingest
 // server uses its report tick) — never on the per-offer hot path. state()
@@ -38,12 +37,11 @@ enum class OfferOutcome : uint8_t {
   /// The batch was fully counted and the shard kept up.
   kAccepted = 0,
   /// The batch was STILL fully counted (all-or-nothing is preserved, so
-  /// conservation needs no special case), but more than
-  /// BatchIngestOptions::overload_spill_budget requests had to divert to
-  /// the elastic overflow path — the consumer side is not keeping up and
-  /// the caller should back off or start shedding.
+  /// conservation needs no special case), but it found a shard's inbox
+  /// more than CotsFleet::kBatchDepth elements deep — the shard is not
+  /// keeping up and the caller should back off or start shedding.
   kOverloaded = 1,
-  /// The engine is draining or stopped; nothing was counted.
+  /// The fleet is draining or stopped; nothing was counted.
   kRefused = 2,
 };
 
@@ -70,20 +68,15 @@ struct AdmissionOptions {
   size_t backpressure_queue_depth = 8 * 512;
   size_t shedding_queue_depth = 32 * 512;
 
-  /// Overflow-spill (ring fallback) deltas per sample interval. Spills are
-  /// the designed elastic path, so a trickle is fine; a sustained storm
-  /// means the rings never drain.
-  uint64_t backpressure_spills = 1024;
-  uint64_t shedding_spills = 16 * 1024;
-
   /// kOverloaded offer outcomes per sample interval. Any overloaded offer
   /// is already a missed deadline, so the default escalates to
   /// Backpressure on the first one and to Shedding on a steady stream.
   uint64_t backpressure_overloaded_offers = 1;
   uint64_t shedding_overloaded_offers = 8;
 
-  /// Consecutive calm samples (every signal below half its Backpressure
-  /// threshold) required to step DOWN one state. Escalation never waits.
+  /// Consecutive calm samples (queue depth below half its Backpressure
+  /// threshold and no overloaded offers) required to step DOWN one state.
+  /// Escalation never waits.
   int calm_samples_to_step_down = 3;
 
   /// Retry hint handed to shed clients (the ingest server's
@@ -92,11 +85,10 @@ struct AdmissionOptions {
 };
 
 /// One sample of the overload signals. `queue_depth` is a live reading;
-/// `spills` and `overloaded_offers` are cumulative counts — Update() works
-/// with deltas between consecutive samples.
+/// `overloaded_offers` is a cumulative count — Update() works with deltas
+/// between consecutive samples.
 struct AdmissionSignals {
   size_t queue_depth = 0;
-  uint64_t spills = 0;
   uint64_t overloaded_offers = 0;
 };
 
@@ -141,7 +133,6 @@ class AdmissionController {
  private:
   // Severity the raw signals map to, ignoring hysteresis.
   AdmissionState Severity(const AdmissionSignals& signals,
-                          uint64_t spill_delta,
                           uint64_t overloaded_delta) const;
 
   AdmissionOptions options_;
@@ -150,7 +141,6 @@ class AdmissionController {
   std::atomic<uint64_t> samples_[3] = {};
 
   // Sampler-thread-only bookkeeping (Update is single-caller).
-  uint64_t last_spills_ = 0;
   uint64_t last_overloaded_ = 0;
   bool have_baseline_ = false;
   int calm_streak_ = 0;

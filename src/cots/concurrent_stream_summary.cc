@@ -5,11 +5,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <thread>
 
 #include "util/failpoint.h"
 #include "util/metrics.h"
-#include "util/spinlock.h"
 #include "util/trace.h"
 
 namespace cots {
@@ -33,9 +33,6 @@ ConcurrentStreamSummary::ConcurrentStreamSummary(
       ring_capacity_(options.request_ring_capacity != 0
                          ? options.request_ring_capacity
                          : RequestQueue::kDefaultRingCapacity),
-      pool_(options.layout == SummaryLayout::kFlat
-                ? std::make_unique<SummaryNodePool>(options.capacity)
-                : nullptr),
       sentinel_(new FreqBucket(0, ring_capacity_)),
       table_(table),
       epochs_(epochs) {
@@ -43,51 +40,17 @@ ConcurrentStreamSummary::ConcurrentStreamSummary(
 }
 
 ConcurrentStreamSummary::~ConcurrentStreamSummary() {
-  // Retired pool nodes sitting in EBR hold deleters that dereference pool_;
-  // run them now, while the pool is alive. No reader can be active during
-  // destruction, so this is the sanctioned DrainAll window (a no-op when
-  // the owning engine already drained in its own destructor).
-  epochs_->DrainAll();
   FreqBucket* b = sentinel_;
   while (b != nullptr) {
     SummaryNode* n = b->head.load(std::memory_order_relaxed);
     while (n != nullptr) {
       SummaryNode* next = n->next.load(std::memory_order_relaxed);
-      // Slab nodes die with the pool; only heap(-fallback) nodes are freed
-      // here.
-      if (pool_ == nullptr || !pool_->Owns(n)) delete n;
+      delete n;
       n = next;
     }
     FreqBucket* next = b->next.load(std::memory_order_relaxed);
     delete b;
     b = next;
-  }
-}
-
-SummaryNode* ConcurrentStreamSummary::AllocateNode() {
-  if (pool_ != nullptr) {
-    if (SummaryNode* n = pool_->Allocate()) return n;
-    // Slab and free list exhausted (Lossy Counting can hold freed nodes in
-    // EBR limbo past capacity); fall back to the heap, marked pool-less so
-    // reclamation routes back to `delete`.
-    COTS_COUNTER_INC("summary.node_pool_exhausted");
-  }
-  return new SummaryNode;
-}
-
-namespace {
-void ReturnNodeToPool(void* p) {
-  auto* node = static_cast<SummaryNode*>(p);
-  static_cast<SummaryNodePool*>(node->pool)->Free(node);
-}
-}  // namespace
-
-void ConcurrentStreamSummary::RetireNode(EpochParticipant* participant,
-                                         SummaryNode* node) {
-  if (node->pool != nullptr) {
-    participant->RetireRaw(node, &ReturnNodeToPool);
-  } else {
-    participant->Retire(node);
   }
 }
 
@@ -480,7 +443,7 @@ bool ConcurrentStreamSummary::ProcessRequest(FreqBucket* bucket,
           DetachNode(bucket, n);
           monitored_.fetch_sub(1, std::memory_order_acq_rel);
           // Queries may still be walking over the node; retire, not delete.
-          RetireNode(ctx->participant, n);
+          ctx->participant->Retire(n);
         }
         n = next;
       }
@@ -642,7 +605,7 @@ void ConcurrentStreamSummary::CrossBoundary(DelegationHashTable::Entry* entry,
   Request request;
   if (newly_inserted) {
     if (TryAdmit()) {
-      SummaryNode* node = AllocateNode();
+      auto* node = new SummaryNode;
       node->key = entry->key;
       node->freq = delta + initial_error;
       node->error = initial_error;
@@ -734,8 +697,13 @@ void ConcurrentStreamSummary::SweepStranded(EpochParticipant* participant) {
 std::vector<Counter> ConcurrentStreamSummary::CountersDescending(
     EpochParticipant* participant) const {
   EpochGuard guard(participant);
-  std::vector<Counter> out;
-  out.reserve(std::min(capacity_, size_t{65536}));
+  // Each reading keeps the node it came from, for the node dedup below.
+  struct Reading {
+    const SummaryNode* node;
+    Counter counter;
+  };
+  std::vector<Reading> seen;
+  seen.reserve(std::min(capacity_, size_t{65536}));
   // Defensive bounds: concurrent relocation can make a traversal wander;
   // the structure never exceeds capacity live nodes.
   const size_t node_limit =
@@ -750,19 +718,19 @@ std::vector<Counter> ConcurrentStreamSummary::CountersDescending(
          n = n->next.load(std::memory_order_acquire), ++steps) {
       // Acquire field loads keep the validation read below ordered after
       // the segment reads without an atomic_thread_fence (see the helper).
-      out.push_back(Counter{AcquireFieldLoad(n->key),
-                            AcquireFieldLoad(n->freq),
-                            AcquireFieldLoad(n->error)});
+      seen.push_back(Reading{n, Counter{AcquireFieldLoad(n->key),
+                                        AcquireFieldLoad(n->freq),
+                                        AcquireFieldLoad(n->error)}});
     }
   };
   for (FreqBucket* b = sentinel_->next.load(std::memory_order_acquire);
-       b != nullptr && out.size() < node_limit;
+       b != nullptr && seen.size() < node_limit;
        b = b->next.load(std::memory_order_acquire)) {
     if (b->gc.load(std::memory_order_acquire)) continue;
     // Seqlock read lease: walk only while the version is even, and accept
     // the segment only if the version did not move — the segment then
     // matches a state the bucket actually passed through.
-    const size_t mark = out.size();
+    const size_t mark = seen.size();
     for (int attempt = 0;; ++attempt) {
       const uint64_t v1 = b->version.load(std::memory_order_acquire);
       if ((v1 & 1) == 0) {
@@ -771,7 +739,7 @@ std::vector<Counter> ConcurrentStreamSummary::CountersDescending(
         // loads, so this check cannot be reordered before any of them.
         if (b->version.load(std::memory_order_relaxed) == v1) break;
       }
-      out.resize(mark);  // torn segment: roll back this bucket and retry
+      seen.resize(mark);  // torn segment: roll back this bucket and retry
       if (attempt >= kLeaseRetries) {
         // Bucket under sustained mutation: one lease-less walk (every read
         // is still atomic — per-field values, not torn bytes) beats making
@@ -784,9 +752,29 @@ std::vector<Counter> ConcurrentStreamSummary::CountersDescending(
       std::this_thread::yield();
     }
   }
-  // Each bucket's segment is internally consistent, but an element that
-  // relocated mid-walk can appear in two segments (old and new frequency).
-  // Keep the higher estimate so each key maps to exactly one counter.
+  // Each bucket's segment is internally consistent, but a node that moved
+  // up mid-walk can be read twice. An overwrite also relabels the victim's
+  // node with the new key, so the second reading may carry another key.
+  // Node frequencies only grow, so each node keeps its highest reading —
+  // its latest state: a victim evicted mid-walk drops out instead of
+  // being reported beside its replacement, and the snapshot's mass never
+  // exceeds the occurrences applied by the end of the walk.
+  std::sort(seen.begin(), seen.end(), [](const Reading& a, const Reading& b) {
+    if (a.node != b.node) {
+      return std::less<const SummaryNode*>()(a.node, b.node);
+    }
+    return a.counter.count > b.counter.count;
+  });
+  seen.erase(std::unique(seen.begin(), seen.end(),
+                         [](const Reading& a, const Reading& b) {
+                           return a.node == b.node;
+                         }),
+             seen.end());
+  std::vector<Counter> out;
+  out.reserve(seen.size());
+  for (const Reading& r : seen) out.push_back(r.counter);
+  // An element evicted and re-admitted mid-walk can sit on two nodes; keep
+  // the higher estimate so each key maps to exactly one counter.
   std::sort(out.begin(), out.end(), [](const Counter& a, const Counter& b) {
     if (a.key != b.key) return a.key < b.key;
     return a.count > b.count;

@@ -39,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,7 +47,6 @@
 #include "cots/request.h"
 #include "util/ebr.h"
 #include "util/macros.h"
-#include "util/spinlock.h"
 #include "util/status.h"
 
 namespace cots {
@@ -102,77 +100,6 @@ struct SummaryNode {
   FreqBucket* bucket = nullptr;
   SummaryNode* prev = nullptr;
   std::atomic<SummaryNode*> next{nullptr};
-  /// Owning SummaryNodePool when the node came from a pre-allocated slab
-  /// (the kFlat concurrent layout); nullptr means plain heap. EBR deleters
-  /// are stateless function pointers, so the route back to the pool must
-  /// ride on the node itself.
-  void* pool = nullptr;
-};
-
-/// Fixed-slab allocator for SummaryNodes: one contiguous allocation of
-/// `capacity` nodes handed out by an atomic bump pointer, with freed nodes
-/// recycled through a spinlock-guarded list (allocation and reclamation are
-/// both off the per-element hot path — they happen only on admit and evict —
-/// so a tiny critical section beats a lock-free stack's ABA machinery).
-/// This is what SummaryLayout::kFlat means for the concurrent summary:
-/// nodes packed back-to-back in one slab instead of one malloc each, which
-/// removes per-admission allocation and cuts the allocator's per-chunk
-/// overhead, so many small engines stay cheap. When the slab and free
-/// list are both empty (Lossy Counting can briefly exceed capacity while
-/// evicted nodes sit in EBR), Allocate returns nullptr and the caller
-/// falls back to the heap.
-class SummaryNodePool {
- public:
-  explicit SummaryNodePool(size_t capacity) : slab_(capacity) {
-    free_.reserve(capacity);
-  }
-
-  COTS_DISALLOW_COPY_AND_ASSIGN(SummaryNodePool);
-
-  SummaryNode* Allocate() {
-    size_t i = bump_.load(std::memory_order_relaxed);
-    while (i < slab_.size()) {
-      if (bump_.compare_exchange_weak(i, i + 1, std::memory_order_relaxed)) {
-        SummaryNode* n = &slab_[i];
-        n->pool = this;
-        return n;
-      }
-    }
-    SummaryNode* n = nullptr;
-    {
-      std::lock_guard<SpinLock> lock(free_mu_);
-      if (!free_.empty()) {
-        n = free_.back();
-        free_.pop_back();
-      }
-    }
-    if (n != nullptr) {
-      // Recycled nodes carry their previous life's links; present them as
-      // freshly constructed (callers fill key/freq/error/entry themselves).
-      n->entry = nullptr;
-      n->bucket = nullptr;
-      n->prev = nullptr;
-      n->next.store(nullptr, std::memory_order_relaxed);
-    }
-    return n;
-  }
-
-  void Free(SummaryNode* n) {
-    std::lock_guard<SpinLock> lock(free_mu_);
-    free_.push_back(n);
-  }
-
-  /// True when `n` lives inside this pool's slab (teardown uses this to
-  /// avoid deleting slab nodes).
-  bool Owns(const SummaryNode* n) const {
-    return !slab_.empty() && n >= slab_.data() && n < slab_.data() + slab_.size();
-  }
-
- private:
-  std::vector<SummaryNode> slab_;
-  std::atomic<size_t> bump_{0};
-  SpinLock free_mu_;
-  std::vector<SummaryNode*> free_;
 };
 
 /// A frequency bucket (Figure 10): immutable frequency, element list,
@@ -220,10 +147,6 @@ struct ConcurrentStreamSummaryOptions {
   /// burst to the mutex overflow fallback ("request_queue.fallback_
   /// allocations") instead of staying lock-free.
   size_t request_ring_capacity = 0;
-  /// Physical node-allocation layout (core/counter.h). kFlat pre-allocates
-  /// every SummaryNode in one contiguous SummaryNodePool slab; kLinked
-  /// heap-allocates each node on admission. Algorithmically identical.
-  SummaryLayout layout = SummaryLayout::kLinked;
 
   Status Validate();
 };
@@ -306,9 +229,11 @@ class ConcurrentStreamSummary {
   /// bucket's seqlock, so it reflects a state the bucket actually passed
   /// through; an element relocating between buckets during the walk is
   /// reported at its old or its new frequency (post-walk dedup keeps the
-  /// higher estimate, each key at most once), and an element admitted or
-  /// evicted mid-walk may be missing. Every reported count is one the
-  /// element genuinely held during the call — never a torn value. A bucket
+  /// higher estimate, each key and each node at most once), and an element
+  /// admitted or evicted mid-walk may be missing. Every reported count is
+  /// one the element genuinely held during the call — never a torn value —
+  /// and the counts sum to at most the occurrences applied by the end of
+  /// the walk. A bucket
   /// under sustained mutation is retried a few times, then read without
   /// the lease (counted as "summary.snapshot_fallbacks").
   std::vector<Counter> CountersDescending(EpochParticipant* participant) const;
@@ -401,19 +326,10 @@ class ConcurrentStreamSummary {
 
   bool TryAdmit();
 
-  // Node allocation/reclamation, routed through pool_ when the flat layout
-  // is selected (heap otherwise). RetireNode keeps EBR's grace period in
-  // both cases — pool nodes are recycled, never freed early.
-  SummaryNode* AllocateNode();
-  void RetireNode(EpochParticipant* participant, SummaryNode* node);
-
   size_t capacity_;
   bool always_admit_ = false;
   size_t ring_capacity_ = RequestQueue::kDefaultRingCapacity;
   std::atomic<size_t> monitored_{0};
-  // Non-null iff options.layout == kFlat. The destructor drains EBR before
-  // tearing anything down: retired pool nodes' deleters dereference pool_.
-  std::unique_ptr<SummaryNodePool> pool_;
   FreqBucket* sentinel_;
   DelegationHashTable* table_;
   EpochManager* epochs_;

@@ -586,23 +586,6 @@ size_t CotsFleet::num_counters() const {
   return monitored;
 }
 
-const PublishedView* CotsFleet::AcquireQueryView() const {
-  view_query_mu_.lock();
-  view_query_participant_->Enter();
-  const PublishedView* view =
-      published_view_.load(std::memory_order_acquire);
-  if (view == nullptr) {
-    view_query_participant_->Exit();
-    view_query_mu_.unlock();
-  }
-  return view;
-}
-
-void CotsFleet::ReleaseQueryView() const {
-  view_query_participant_->Exit();
-  view_query_mu_.unlock();
-}
-
 bool CotsFleet::PublishView(EpochParticipant* participant,
                             uint64_t deadline_ns) {
   COTS_TRACE_SPAN(span, "view.publish");
@@ -669,10 +652,7 @@ void CotsFleet::RefreshQueryView() {
     std::this_thread::yield();
   }
   offers_since_refresh_.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(view_query_mu_);
-    PublishView(view_query_participant_, /*deadline_ns=*/0);
-  }
+  PublishView(view_query_participant_, /*deadline_ns=*/0);
   view_refresh_claim_.store(false, std::memory_order_release);
 }
 

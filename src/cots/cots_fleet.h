@@ -46,7 +46,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -321,12 +320,6 @@ class CotsFleet : public FrequencySummary {
     return view_sequence_.load(std::memory_order_acquire);
   }
 
-  /// Fleet-level view acquisition for unregistered threads (shared slot
-  /// behind a mutex held until ReleaseQueryView). Registered threads
-  /// should acquire through their ThreadHandle (lock-free).
-  const PublishedView* AcquireQueryView() const override;
-  void ReleaseQueryView() const override;
-
  private:
   // A disjoint fold of every shard (see FoldShards).
   struct Fold {
@@ -388,8 +381,8 @@ class CotsFleet : public FrequencySummary {
       nullptr};
   std::atomic<uint64_t> view_sequence_{0};
   mutable EpochManager view_epochs_;
-  mutable std::mutex view_query_mu_;
-  mutable EpochParticipant* view_query_participant_ = nullptr;
+  // RefreshQueryView's retire slot; the refresh claim serializes its users.
+  EpochParticipant* view_query_participant_ = nullptr;
 };
 
 }  // namespace cots

@@ -35,7 +35,6 @@ ConcurrentStreamSummaryOptions SummaryOptions(
   ConcurrentStreamSummaryOptions sopt;
   sopt.capacity = WidthOf(opt) * 32;  // sizing hint only
   sopt.always_admit = true;
-  sopt.layout = opt.layout;
   return sopt;
 }
 

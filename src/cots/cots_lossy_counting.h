@@ -34,11 +34,6 @@ struct CotsLossyCountingOptions {
   /// Hash buckets; 0 = sized from the Manku-Motwani space bound.
   size_t hash_buckets = 0;
   int max_threads = 256;
-  /// Node layout (core/counter.h). kFlat is the interesting case here:
-  /// round-boundary eviction retires nodes continuously, so the
-  /// SummaryNodePool's recycle path (not just its bump allocator) carries
-  /// the steady state.
-  SummaryLayout layout = SummaryLayout::kLinked;
 
   Status Validate() const;
 };

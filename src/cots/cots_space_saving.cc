@@ -67,7 +67,6 @@ ConcurrentStreamSummaryOptions SummaryOptions(
   ConcurrentStreamSummaryOptions sopt;
   sopt.capacity = opt.capacity;
   sopt.request_ring_capacity = opt.request_ring_capacity;
-  sopt.layout = opt.layout;
   return sopt;
 }
 
@@ -101,7 +100,7 @@ CotsSpaceSaving::CotsSpaceSaving(const CotsSpaceSavingOptions& options)
 
 CotsSpaceSaving::CotsSpaceSaving(const CotsSpaceSavingOptions& options,
                                  ValidatedTag)
-    : epochs_(options.max_threads, options.ebr_forced_advance_backlog),
+    : epochs_(options.max_threads),
       table_(TableOptions(options), &epochs_),
       summary_(SummaryOptions(options), &table_, &epochs_),
       view_refresh_interval_(options.view_refresh_interval) {
@@ -211,10 +210,10 @@ inline size_t RoundUpPowerOfTwo(size_t v) {
 
 }  // namespace
 
-OfferOutcome CotsSpaceSaving::ThreadHandle::OfferBatchBounded(
+bool CotsSpaceSaving::ThreadHandle::OfferBatch(
     const ElementId* elements, size_t count,
     const BatchIngestOptions& options) {
-  if (count == 0) return OfferOutcome::kAccepted;
+  if (count == 0) return true;
   COTS_TRACE_SPAN(span, "engine.offer_batch");
   span.SetArg(count);
   InflightScope inflight(&engine_->inflight_offers_);
@@ -223,12 +222,8 @@ OfferOutcome CotsSpaceSaving::ThreadHandle::OfferBatchBounded(
   if (engine_->state_.load(std::memory_order_seq_cst) !=
       EngineState::kRunning) {
     span.Cancel();
-    return OfferOutcome::kRefused;
+    return false;
   }
-  // Overload deadline accounting (DESIGN.md §13): snapshot this thread's
-  // overflow-spill counter around the batch. Two thread-local reads — no
-  // shared-memory traffic on the healthy path.
-  const uint64_t spills_before = RequestQueue::ThreadSpills();
   engine_->n_.fetch_add(count, std::memory_order_relaxed);
   {
     EpochGuard guard(participant_);
@@ -289,18 +284,7 @@ OfferOutcome CotsSpaceSaving::ThreadHandle::OfferBatchBounded(
   // Outside the guard (see Offer); batch epoch pins are already the
   // reclamation long pole, so the refresh must not extend them.
   engine_->MaybeAutoRefresh(participant_, count);
-  const uint64_t spilled = RequestQueue::ThreadSpills() - spills_before;
-  if (COTS_UNLIKELY(options.overload_spill_budget != 0 &&
-                    spilled > options.overload_spill_budget)) {
-    // The batch landed in full, but only by leaning on the elastic spill
-    // path past the configured budget — the consumer side is stalled or
-    // saturated. Report it so admission control can back off or shed.
-    engine_->deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-    COTS_COUNTER_INC("overload.deadline_misses");
-    COTS_TRACE_INSTANT_ARG("overload.deadline_miss", spilled);
-    return OfferOutcome::kOverloaded;
-  }
-  return OfferOutcome::kAccepted;
+  return true;
 }
 
 void CotsSpaceSaving::ThreadHandle::OfferGuarded(ElementId e,
@@ -399,62 +383,23 @@ std::vector<Counter> CotsSpaceSaving::CountersDescending() const {
 }
 
 uint64_t CotsSpaceSaving::MinFreq() const {
-  uint64_t structural;
-  {
-    std::lock_guard<std::mutex> lock(query_mu_);
-    structural = summary_.MinFreq(query_participant_);
-  }
-  // Under load shedding an unmonitored element may additionally have
-  // occurred up to shed_weight() times without the structure seeing it;
-  // the bound must cover the full offered stream (DESIGN.md §13).
-  return structural + shed_weight_.load(std::memory_order_relaxed);
-}
-
-const PublishedView* CotsSpaceSaving::AcquireQueryView() const {
-  // The shared-slot convenience path: the mutex is held until
-  // ReleaseQueryView so the slot's epoch pin can't be dropped by a
-  // concurrent engine-level query. Registered threads use their handle's
-  // lock-free acquisition instead.
-  query_mu_.lock();
-  query_participant_->Enter();
-  const PublishedView* view =
-      published_view_.load(std::memory_order_acquire);
-  if (view == nullptr) {
-    query_participant_->Exit();
-    query_mu_.unlock();
-  }
-  return view;
-}
-
-void CotsSpaceSaving::ReleaseQueryView() const {
-  query_participant_->Exit();
-  query_mu_.unlock();
+  std::lock_guard<std::mutex> lock(query_mu_);
+  return summary_.MinFreq(query_participant_);
 }
 
 void CotsSpaceSaving::PublishView(EpochParticipant* participant) {
   COTS_TRACE_SPAN(span, "view.publish");
-  // Capture N first: an offer accounts its weight into n_ before touching
-  // the summary, so every offer fully applied when the snapshot below runs
-  // is covered by this figure (the view may additionally report length for
-  // offers still in flight — conservative for thresholds).
-  const uint64_t n = n_.load(std::memory_order_acquire);
-  // Shed weight read BEFORE the counter snapshot: sheds absorbed during
-  // the snapshot may be missing from these bounds, but they are covered by
-  // the next refresh — same staleness contract as the counters themselves.
-  const uint64_t shed = shed_weight_.load(std::memory_order_acquire);
   std::vector<Counter> counters = summary_.CountersDescending(participant);
-  if (COTS_UNLIKELY(shed != 0)) {
-    // Fold the shed into every per-key bound: a shed occurrence of a
-    // monitored key is at most one missing increment, so widening the
-    // symmetric error keeps [count-err, count+err] valid over the full
-    // offered stream (DESIGN.md §13).
-    for (Counter& c : counters) c.error += shed;
-  }
-  const uint64_t min_freq = summary_.MinFreq(participant) + shed;
+  const uint64_t min_freq = summary_.MinFreq(participant);
+  // N after the snapshot: an offer accounts its weight into n_ before
+  // touching the summary, and the snapshot's counts sum to at most what
+  // was applied by its end, so the view's length covers its counter mass
+  // (it may also count offers still in flight).
+  const uint64_t n = n_.load(std::memory_order_acquire);
   const uint64_t seq = view_sequence_.load(std::memory_order_relaxed) + 1;
   span.SetArg(seq);
   const PublishedView* next =
-      PublishedView::Build(std::move(counters), n, min_freq, seq, shed);
+      PublishedView::Build(std::move(counters), n, min_freq, seq);
   COTS_FAILPOINT("view.publish");
   const PublishedView* prev =
       published_view_.exchange(next, std::memory_order_acq_rel);

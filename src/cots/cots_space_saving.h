@@ -45,12 +45,13 @@ namespace cots {
 /// coalescing on/off) to justify the numbers.
 struct BatchIngestOptions {
   /// The batch depth callers are expected to feed OfferBatch in steady
-  /// state (the bench loops and the fleet's shard buffers use exactly
-  /// this). Engines size their per-bucket request rings from it: one
-  /// coalesced batch can funnel one request per distinct key into a single
-  /// destination bucket while the producer holds another bucket, so an
-  /// undersized ring diverts the burst tail to the lock-free overflow
-  /// spill list (see CotsSpaceSavingOptions::request_ring_capacity).
+  /// state (the engine bench loops use exactly this; the fleet has its
+  /// own CotsFleet::kBatchDepth). Engines size their per-bucket request
+  /// rings from it: one coalesced batch can funnel one request per
+  /// distinct key into a single destination bucket while the producer
+  /// holds another bucket, so an undersized ring diverts the burst tail to
+  /// the lock-free overflow spill list (see
+  /// CotsSpaceSavingOptions::request_ring_capacity).
   static constexpr size_t kDefaultBatchDepth = 512;
 
   /// How many elements ahead of the cursor to prefetch hash buckets for;
@@ -64,15 +65,6 @@ struct BatchIngestOptions {
   /// preserved, which matches the engine's concurrent semantics — a
   /// delegated lump already lands as one bulk increment).
   bool coalesce = true;
-  /// Overload deadline budget, in overflow spills per batch (DESIGN.md
-  /// §13): if more than this many requests divert to the elastic overflow
-  /// path while the batch lands, OfferBatchBounded reports
-  /// OfferOutcome::kOverloaded (the batch is STILL fully counted — the
-  /// outcome is a backpressure signal, not a loss). Every enqueue is
-  /// individually bounded (ring spin limit, then one lock-free spill), so
-  /// this budget also bounds the batch's wall time against a wedged
-  /// consumer. 0 disables the report (never returns kOverloaded).
-  size_t overload_spill_budget = 64;
 };
 
 struct CotsSpaceSavingOptions {
@@ -99,19 +91,6 @@ struct CotsSpaceSavingOptions {
   /// lock-free overflow spill list, which is the designed elastic path,
   /// not an error.
   size_t request_ring_capacity = 0;
-  /// Summary node layout (core/counter.h): kFlat pre-allocates every
-  /// SummaryNode in one contiguous per-engine slab (SummaryNodePool) so
-  /// admission never mallocs and a fleet of many small shards costs one
-  /// allocation each instead of `capacity` — the knob that makes shard
-  /// counts ≫ cores affordable. kLinked (default) heap-allocates nodes as
-  /// the paper's structure does. Guarantees are identical.
-  SummaryLayout layout = SummaryLayout::kLinked;
-  /// Per-participant EBR retire backlog beyond which every Retire()
-  /// attempts a forced epoch advance (util/ebr.h). 0 = the library default
-  /// (EpochParticipant::kDefaultForcedAdvanceBacklog). Lower it when
-  /// reclamation latency matters more than advance overhead — e.g. many
-  /// small shards where a parked laggard's backlog is capacity-sized.
-  size_t ebr_forced_advance_backlog = 0;
   /// Offers between automatic published-view refreshes (DESIGN.md §11).
   /// Every `view_refresh_interval` counted occurrences, the offering thread
   /// rebuilds the immutable query view and publishes it; point queries then
@@ -132,9 +111,9 @@ class CotsSpaceSaving : public FrequencySummary {
   /// A handle is itself a FrequencySummary over the engine, with every
   /// read served through this thread's own epoch slot — lock-free, unlike
   /// the engine-level interface which shares a mutex-guarded slot. Query
-  /// threads should register a handle and point a QueryEngine at it: the
+  /// threads register a handle and point a QueryEngine at it: the
   /// published-view path (AcquireQueryView) is then one wait-free epoch
-  /// pin + pointer load per query.
+  /// pin + pointer load per query, and the only way to lease the view.
   class ThreadHandle : public FrequencySummary {
    public:
     ~ThreadHandle() override;
@@ -159,25 +138,8 @@ class CotsSpaceSaving : public FrequencySummary {
     /// whole batch, which delays memory reclamation. Returns false — with
     /// the whole batch refused, nothing counted — once Stop() has begun
     /// (see Offer).
-    bool OfferBatch(const ElementId* elements, size_t count) {
-      return OfferBatch(elements, count, BatchIngestOptions{});
-    }
     bool OfferBatch(const ElementId* elements, size_t count,
-                    const BatchIngestOptions& options) {
-      return OfferBatchBounded(elements, count, options) !=
-             OfferOutcome::kRefused;
-    }
-
-    /// OfferBatch with the overload deadline surfaced (DESIGN.md §13):
-    /// kAccepted and kOverloaded both mean the batch was FULLY counted
-    /// (all-or-nothing vs Stop() is unchanged); kOverloaded additionally
-    /// reports that more than options.overload_spill_budget requests had
-    /// to divert to the overflow spill path — the consumer side is
-    /// stalled or saturated and the caller should back off or shed.
-    /// kRefused means Stop() won the handshake and nothing was counted.
-    OfferOutcome OfferBatchBounded(const ElementId* elements, size_t count,
-                                   const BatchIngestOptions& options =
-                                       BatchIngestOptions{});
+                    const BatchIngestOptions& options = BatchIngestOptions{});
 
     // FrequencySummary, all through this thread's epoch slot (lock-free).
     /// Point lookup against the live structure.
@@ -267,33 +229,7 @@ class CotsSpaceSaving : public FrequencySummary {
 
   size_t capacity() const { return summary_.capacity(); }
   /// Bound on any unmonitored element's frequency (0 while not full).
-  /// Includes the absorbed shed weight: under load shedding an unmonitored
-  /// element may additionally have occurred shed_weight() times, so the
-  /// bound widens by exactly that (DESIGN.md §13).
   uint64_t MinFreq() const;
-
-  /// Absorbs `weight` occurrences that admission control chose to shed
-  /// instead of offering (DESIGN.md §13). Nothing is counted into the
-  /// structure or stream_length(); the weight lands in shed_weight() and
-  /// from there widens MinFreq() and every subsequently published view's
-  /// error bounds, so all reported guarantees stay valid over the FULL
-  /// offered stream (counted + shed). Thread-safe, one relaxed fetch_add;
-  /// never blocks and never touches the summary.
-  void AbsorbShed(uint64_t weight) {
-    shed_weight_.fetch_add(weight, std::memory_order_relaxed);
-  }
-
-  /// Cumulative shed weight absorbed via AbsorbShed. Conservation:
-  /// offered = stream_length() + shed_weight().
-  uint64_t shed_weight() const {
-    return shed_weight_.load(std::memory_order_relaxed);
-  }
-
-  /// Batches that reported OfferOutcome::kOverloaded (spill budget
-  /// exceeded); mirrors the "overload.deadline_misses" metric.
-  uint64_t deadline_misses() const {
-    return deadline_misses_.load(std::memory_order_relaxed);
-  }
 
   /// Rebuilds and publishes the query view now, regardless of the
   /// auto-refresh interval. Blocks out any concurrent auto-refresh, so on
@@ -308,13 +244,6 @@ class CotsSpaceSaving : public FrequencySummary {
   uint64_t query_view_sequence() const {
     return view_sequence_.load(std::memory_order_acquire);
   }
-
-  /// Engine-level view acquisition for unregistered threads: takes the
-  /// shared query slot's mutex and holds it until ReleaseQueryView — a
-  /// convenience path, not the fast one. Query threads that care should
-  /// register a ThreadHandle and acquire through it (lock-free).
-  const PublishedView* AcquireQueryView() const override;
-  void ReleaseQueryView() const override;
 
   const ConcurrentStreamSummary::Stats& stats() const {
     return summary_.stats();
@@ -367,10 +296,6 @@ class CotsSpaceSaving : public FrequencySummary {
   DelegationHashTable table_;
   ConcurrentStreamSummary summary_;
   std::atomic<uint64_t> n_{0};
-  /// Occurrences shed under overload; folded into every published bound
-  /// but never into n_ (see AbsorbShed).
-  std::atomic<uint64_t> shed_weight_{0};
-  std::atomic<uint64_t> deadline_misses_{0};
 
   std::atomic<EngineState> state_{EngineState::kRunning};
   /// Offers between stream-length accounting and delegated-work completion;

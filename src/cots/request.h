@@ -24,15 +24,10 @@
 // cycle formed under extreme load — the producer diverts to a lock-free
 // overflow spill list (a Treiber stack of heap nodes) rather than
 // blocking, so enqueue completes in a bounded number of steps REGARDLESS
-// of what the consumer is doing. This matters for overload resilience
-// (DESIGN.md §13): with the earlier mutex-guarded overflow vector, a
-// consumer descheduled mid-drain could wedge every producer of a hot
-// bucket behind the lock; now a wedged consumer costs producers one heap
-// allocation and one CAS each, and OfferBatch can report
-// OfferOutcome::kOverloaded from the spill count instead of stalling.
-// Spills are counted ("request_queue.fallback_allocations", plus a
-// per-thread counter read by the offer-deadline budget); in steady state
-// the fallback is never taken and the whole path is allocation-free.
+// of what the consumer is doing: a wedged consumer costs producers one
+// heap allocation and one CAS each, never a wait. Spills are counted
+// ("request_queue.fallback_allocations"); in steady state the fallback is
+// never taken and the whole path is allocation-free.
 //
 // Close interacts with the spill list through a tagged head pointer: the
 // closer first CASes the EMPTY list head to a closed tag (so no spill can
@@ -130,16 +125,6 @@ class RequestQueue {
     }
   }
   COTS_DISALLOW_COPY_AND_ASSIGN(RequestQueue);
-
-  /// Calling thread's cumulative count of enqueues that diverted to the
-  /// overflow spill list. OfferBatch computes its per-batch overload
-  /// budget from deltas of this, which keeps overload detection off the
-  /// shared-memory hot path entirely (no new cross-thread atomics per
-  /// offer — the spill itself is already the slow path).
-  static uint64_t& ThreadSpills() {
-    thread_local uint64_t spills = 0;
-    return spills;
-  }
 
   size_t ring_capacity() const { return ring_mask_ + 1; }
 
@@ -366,7 +351,6 @@ class RequestQueue {
       }
     }
     COTS_COUNTER_INC("request_queue.fallback_allocations");
-    ++ThreadSpills();
     // Timestamped so a trace shows WHEN the ring saturated (a burst of
     // these clustered around a drain stall is the signature to look for);
     // the arg is the spilled backlog at that moment.

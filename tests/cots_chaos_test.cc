@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/published_view.h"
 #include "cots/cots_fleet.h"
 #include "cots/cots_space_saving.h"
 #include "cots/request.h"
@@ -245,12 +244,12 @@ TEST(CotsChaosTest, PerturbedRoundsConserveAndStayBounded) {
 }
 
 // Wedged-consumer regression: a holder stalls (bounded spin) inside the
-// drain loop of the only bucket while another thread keeps offering into
+// sentinel's drain loop while another thread keeps offering new keys into
 // it through a tiny ring. The producer must never block — its requests
-// divert to the lock-free spill path and the bounded offer reports
-// kOverloaded once the spill budget is exceeded, while the batch is still
-// fully counted.
-TEST(CotsChaosTest, WedgedConsumerYieldsOverloadedNotBlocked) {
+// divert to the lock-free spill path, so its batch returns while every
+// request it logged is still pending behind the wedged holder, and the
+// batch is still counted in full once the holder recovers.
+TEST(CotsChaosTest, WedgedConsumerNeverBlocksProducers) {
   if (!COTS_FAILPOINTS_ENABLED) {
     GTEST_SKIP() << "build with -DCOTS_FAILPOINTS=ON to run injection";
   }
@@ -289,32 +288,29 @@ TEST(CotsChaosTest, WedgedConsumerYieldsOverloadedNotBlocked) {
 
   auto handle = engine.RegisterThread();
   ASSERT_NE(handle, nullptr);
-  BatchIngestOptions bounded;
-  bounded.overload_spill_budget = 4;
   ElementId batch[64];
   for (uint64_t i = 0; i < 64; ++i) batch[i] = 100 + i;
   uint64_t offered = 0;
-  bool saw_overloaded = false;
-  // Every iteration returns within its budget — completing this loop while
-  // the holder is still wedged IS the liveness property under test.
+  bool returned_while_wedged = false;
   for (int iter = 0; iter < 64 && !wedger_done.load(); ++iter) {
-    const OfferOutcome outcome =
-        handle->OfferBatchBounded(batch, 64, bounded);
-    ASSERT_NE(outcome, OfferOutcome::kRefused);
+    ASSERT_TRUE(handle->OfferBatch(batch, 64));
     offered += 64;
-    if (outcome == OfferOutcome::kOverloaded) {
-      saw_overloaded = true;
+    // The stall sits before the holder's first drain, and each of the 64
+    // new keys logs one request at the sentinel. All of them still pending
+    // means no drain ran since the wedge began: the batch returned without
+    // waiting on the holder — the liveness property under test.
+    if (!wedger_done.load() && engine.queue_depth() >= 64) {
+      returned_while_wedged = true;
       break;
     }
   }
   wedger.join();
-  EXPECT_TRUE(saw_overloaded)
-      << "no bounded offer reported kOverloaded while the consumer was "
-         "wedged (wedge ended after " << offered << " offered)";
-  EXPECT_GE(engine.deadline_misses(), 1u);
+  EXPECT_TRUE(returned_while_wedged)
+      << "no batch returned while the consumer was wedged (wedge ended "
+         "after " << offered << " offered)";
 
   engine.Stop();
-  // kOverloaded batches are still counted in full: conservation holds.
+  // Batches that spilled past the wedge are still counted in full.
   EXPECT_EQ(engine.stream_length(), offered + wedger_counted);
   std::string why;
   EXPECT_TRUE(engine.CheckInvariantsQuiescent(&why)) << why;
@@ -323,18 +319,16 @@ TEST(CotsChaosTest, WedgedConsumerYieldsOverloadedNotBlocked) {
 
 // Liveness at the queue layer, no failpoints needed: with NO consumer ever
 // draining, producers must still complete every enqueue (ring fills, then
-// the lock-free spill list absorbs the rest) — nothing blocks, nothing is
-// lost, and the spills are visible to the thread-local overload signal.
+// the lock-free spill list absorbs the rest) — nothing blocks and nothing
+// is lost.
 TEST(CotsChaosTest, ProducersNeverBlockWithoutConsumer) {
   constexpr int kProducers = 4;
   constexpr uint64_t kPerProducer = 5000;
   RequestQueue q(8);
   std::atomic<uint64_t> enqueued{0};
-  std::atomic<uint64_t> spilled{0};
   std::vector<std::thread> producers;
   for (int t = 0; t < kProducers; ++t) {
     producers.emplace_back([&, t] {
-      const uint64_t spills_before = RequestQueue::ThreadSpills();
       uint64_t local = 0;
       for (uint64_t i = 0; i < kPerProducer; ++i) {
         Request r{};
@@ -344,15 +338,14 @@ TEST(CotsChaosTest, ProducersNeverBlockWithoutConsumer) {
         if (q.TryEnqueue(r)) ++local;
       }
       enqueued.fetch_add(local, std::memory_order_relaxed);
-      spilled.fetch_add(RequestQueue::ThreadSpills() - spills_before,
-                        std::memory_order_relaxed);
     });
   }
   for (std::thread& t : producers) t.join();
   // Every enqueue completed (the queue is open the whole time)...
   EXPECT_EQ(enqueued.load(), kProducers * kPerProducer);
-  // ...the overwhelming majority via the spill path (ring holds 8)...
-  EXPECT_GE(spilled.load(), kProducers * kPerProducer - 8);
+  // ...everything past the ring's 8 slots via the spill path...
+  EXPECT_EQ(q.size(), kProducers * kPerProducer);
+  EXPECT_GT(q.size(), q.ring_capacity());
   // ...and a consumer can still recover every request afterwards.
   std::vector<Request> out;
   uint64_t drained = 0;
@@ -365,69 +358,10 @@ TEST(CotsChaosTest, ProducersNeverBlockWithoutConsumer) {
 }
 
 // Property test: for EVERY shed schedule, folding shed weight into the
-// published bounds keeps them sound against exact ground truth. Engine
-// level — the schedule interleaves AbsorbShed with counted offers and the
-// epoch-published view must cover both.
-TEST(CotsShedPropertyTest, EngineViewBoundsSoundForRandomShedSchedules) {
-  constexpr int kSchedules = 24;
-  constexpr int kBatches = 300;
-  constexpr uint64_t kBatch = 16;
-  for (int s = 0; s < kSchedules; ++s) {
-    CotsSpaceSavingOptions opt;
-    opt.capacity = 8;
-    ASSERT_TRUE(opt.Validate().ok());
-    CotsSpaceSaving engine(opt);
-    auto handle = engine.RegisterThread();
-    ASSERT_NE(handle, nullptr);
-    Xoshiro256 rng(0xabcdef + 977 * static_cast<uint64_t>(s));
-    ExactMap exact;
-    ElementId batch[kBatch];
-    uint64_t offered = 0;
-    uint64_t shed = 0;
-    for (int b = 0; b < kBatches; ++b) {
-      for (uint64_t i = 0; i < kBatch; ++i) {
-        const bool hot = rng.NextBounded(10) < 6;
-        batch[i] = hot ? 1 + rng.NextBounded(4) : 100 + rng.NextBounded(96);
-      }
-      // The shed fraction varies per schedule: 0%, sparse, heavy, total.
-      const bool do_shed = rng.NextBounded(4) < static_cast<uint64_t>(s % 4);
-      if (do_shed) {
-        engine.AbsorbShed(kBatch);
-        shed += kBatch;
-      } else {
-        ASSERT_TRUE(handle->OfferBatch(batch, kBatch));
-        offered += kBatch;
-        // Only counted occurrences are key-attributable; shed weight is
-        // anonymous, which is exactly why it must widen EVERY bound.
-      }
-      for (ElementId e : batch) ++exact[e];
-    }
-    ASSERT_EQ(engine.stream_length(), offered);
-    ASSERT_EQ(engine.shed_weight(), shed);
-    ASSERT_GE(engine.MinFreq(), shed);  // the fold is in the floor
-
-    engine.RefreshQueryView();
-    const PublishedView* view = handle->AcquireQueryView();
-    ASSERT_NE(view, nullptr);
-    EXPECT_EQ(view->shed_weight(), shed);
-    EXPECT_EQ(view->stream_length() + view->shed_weight(), offered + shed);
-    for (const auto& [key, truth] : exact) {
-      const auto c = view->Find(key);
-      if (c.has_value()) {
-        EXPECT_LE(truth, c->count + c->error) << "schedule " << s;
-        EXPECT_LE(c->count, truth + c->error) << "schedule " << s;
-      } else {
-        EXPECT_LE(truth, view->min_freq()) << "schedule " << s;
-      }
-    }
-    handle->ReleaseQueryView();
-    engine.Stop();
-  }
-}
-
-// Same property across the fleet's kDisjoint merge: shed weight routed to
-// home shards must stay sound through per-shard folding, cross-shard
-// combination, and capacity truncation.
+// published bounds keeps them sound against exact ground truth, across the
+// fleet's kDisjoint merge: shed weight routed to home shards must stay
+// sound through per-shard folding, cross-shard combination, and capacity
+// truncation.
 TEST(CotsShedPropertyTest, FleetMergedBoundsSoundForRandomShedSchedules) {
   constexpr int kSchedules = 16;
   constexpr int kBatches = 250;

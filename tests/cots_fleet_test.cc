@@ -257,13 +257,15 @@ TEST_F(CotsFleetTest, PublishedViewEqualsSerialDisjointMerge) {
     EXPECT_EQ(global.shed_weight(), reference.shed_weight());
 
     fleet.RefreshQueryView();
-    const PublishedView* view = fleet.AcquireQueryView();
+    auto reader = fleet.RegisterThread();
+    ASSERT_NE(reader, nullptr);
+    const PublishedView* view = reader->AcquireQueryView();
     ASSERT_NE(view, nullptr);
     EXPECT_EQ(view->CountersDescending(), reference.counters());
     EXPECT_EQ(view->min_freq(), reference.min_freq());
     EXPECT_EQ(view->stream_length(), reference.stream_length());
     EXPECT_EQ(view->shed_weight(), reference.shed_weight());
-    fleet.ReleaseQueryView();
+    reader->ReleaseQueryView();
   }
 }
 

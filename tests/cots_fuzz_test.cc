@@ -27,9 +27,6 @@ struct FuzzPlan {
   uint64_t churn_keys;  // wide id range forcing overwrites
   uint32_t max_weight;
   bool concurrent_reader;
-  // Node layout under fuzz: kFlat exercises the SummaryNodePool slab
-  // (recycled nodes, EBR pooled retire) under the same schedules.
-  SummaryLayout layout = SummaryLayout::kLinked;
 };
 
 class CotsFuzzTest : public ::testing::TestWithParam<FuzzPlan> {};
@@ -39,7 +36,6 @@ TEST_P(CotsFuzzTest, RandomizedMixedWorkload) {
 
   CotsSpaceSavingOptions opt;
   opt.capacity = plan.capacity;
-  opt.layout = plan.layout;
   ASSERT_TRUE(opt.Validate().ok());
   CotsSpaceSaving engine(opt);
 
@@ -128,18 +124,9 @@ INSTANTIATE_TEST_SUITE_P(
         FuzzPlan{5, 16, 3, 8000, 1, 100000, 3, false},
         FuzzPlan{6, 1, 4, 5000, 8, 8000, 5, true},
         FuzzPlan{7, 128, 6, 4000, 32, 500, 1, true},
-        FuzzPlan{8, 8, 2, 10000, 4, 4, 16, false},
-        // Flat-layout (node pool) variants of the most adversarial plans:
-        // tiny capacity with heavy churn (slab recycling under eviction
-        // pressure), large capacity with a reader (pooled retire racing
-        // snapshots), capacity 1 (every admit fights for one slab slot).
-        FuzzPlan{9, 4, 2, 8000, 4, 5000, 1, false, SummaryLayout::kFlat},
-        FuzzPlan{10, 512, 8, 3000, 64, 2000, 8, true, SummaryLayout::kFlat},
-        FuzzPlan{11, 1, 4, 5000, 8, 8000, 5, true, SummaryLayout::kFlat},
-        FuzzPlan{12, 16, 3, 8000, 1, 100000, 3, false, SummaryLayout::kFlat}),
+        FuzzPlan{8, 8, 2, 10000, 4, 4, 16, false}),
     [](const ::testing::TestParamInfo<FuzzPlan>& info) {
-      return "seed" + std::to_string(info.param.seed) +
-             (info.param.layout == SummaryLayout::kFlat ? "_flat" : "");
+      return "seed" + std::to_string(info.param.seed);
     });
 
 // 100 short rounds with every failure branch forced and the schedule

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -297,6 +298,52 @@ TEST(CotsSpaceSavingTest, ConcurrentQueriesDuringWrites) {
   stop.store(true);
   reader.join();
   EXPECT_TRUE(engine.CheckInvariantsQuiescent());
+}
+
+// A snapshot taken mid-ingest never holds more mass than the stream
+// length read after it. Overwrites reuse the victim's node for the new key
+// and move it up the bucket list, so a walk that read the victim early
+// must not also report the node again under its new key.
+TEST(CotsSpaceSavingTest, SnapshotMassNeverExceedsLaterStreamLength) {
+  CotsSpaceSaving engine(MakeOptions(64));
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([&, t] {
+      auto handle = engine.RegisterThread();
+      ASSERT_NE(handle, nullptr);
+      // Half the stream is 8 hot keys, half churns over 4096 keys, so
+      // nearly every cold offer overwrites the minimum.
+      uint64_t x = 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(t + 1);
+      std::vector<ElementId> batch(256);
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (ElementId& e : batch) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+          e = (x & 1) ? x % 8 : x % 4096;
+        }
+        ASSERT_TRUE(handle->OfferBatch(batch.data(), batch.size()));
+      }
+    });
+  }
+  auto reader = engine.RegisterThread();
+  ASSERT_NE(reader, nullptr);
+  // Snapshot only once the summary is full and every cold offer evicts.
+  while (engine.stream_length() < (uint64_t{1} << 16)) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < 5000; ++i) {
+    uint64_t mass = 0;
+    for (const Counter& c : reader->CountersDescending()) mass += c.count;
+    const uint64_t n = engine.stream_length();
+    if (mass > n) {
+      ADD_FAILURE() << "snapshot " << i << " mass " << mass << " > " << n;
+      break;
+    }
+  }
+  stop.store(true);
+  for (std::thread& w : writers) w.join();
 }
 
 TEST(CotsSpaceSavingTest, StatsReflectDelegation) {

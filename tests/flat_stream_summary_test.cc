@@ -4,9 +4,8 @@
 // the SIMD scan wrappers against their scalar reference at every boundary
 // shape, FlatStreamSummary's Space Saving semantics (including victim
 // selection at SIMD group boundaries), and the layout selected through
-// SpaceSaving / CotsSpaceSaving / merges against exact_counter ground
-// truth — mirroring stream_summary_test.cc so both layouts carry the same
-// proof obligations.
+// SpaceSaving / merges against exact_counter ground truth — mirroring
+// stream_summary_test.cc so both layouts carry the same proof obligations.
 
 #include "core/flat_stream_summary.h"
 
@@ -15,14 +14,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/space_saving.h"
 #include "core/summary_merge.h"
-#include "cots/cots_lossy_counting.h"
-#include "cots/cots_space_saving.h"
 #include "stream/exact_counter.h"
 #include "stream/zipf_generator.h"
 #include "util/random.h"
@@ -365,104 +360,6 @@ TEST(FlatLayoutPropertyTest, MergesPreserveBoundsInBothModes) {
       }
     }
   }
-}
-
-// ---- Concurrent engine with the flat (node pool) layout ----
-
-TEST(FlatLayoutConcurrentTest, CotsEngineConservesCountsWithNodePool) {
-  CotsSpaceSavingOptions opt;
-  opt.capacity = 64;
-  opt.layout = SummaryLayout::kFlat;
-  ASSERT_TRUE(opt.Validate().ok());
-  CotsSpaceSaving engine(opt);
-
-  constexpr int kThreads = 4;
-  constexpr uint64_t kOps = 20000;
-  std::vector<std::unordered_map<ElementId, uint64_t>> truths(kThreads);
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      auto handle = engine.RegisterThread();
-      ASSERT_NE(handle, nullptr);
-      Xoshiro256 rng(1000 + static_cast<uint64_t>(t));
-      for (uint64_t i = 0; i < kOps; ++i) {
-        const ElementId e = 1 + rng.NextBounded(4000);
-        ASSERT_TRUE(handle->Offer(e));
-        ++truths[static_cast<size_t>(t)][e];
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  engine.Stop();
-
-  std::unordered_map<ElementId, uint64_t> truth;
-  uint64_t n = 0;
-  for (const auto& partial : truths) {
-    for (const auto& [key, count] : partial) {
-      truth[key] += count;
-      n += count;
-    }
-  }
-  EXPECT_EQ(engine.stream_length(), n);
-  uint64_t conserved = 0;
-  for (const Counter& c : engine.CountersDescending()) {
-    conserved += c.count;
-    const uint64_t exact = truth.count(c.key) != 0 ? truth[c.key] : 0;
-    EXPECT_LE(exact, c.count) << "key " << c.key;
-    EXPECT_LE(c.count, exact + c.error) << "key " << c.key;
-  }
-  EXPECT_EQ(conserved, n);
-  std::string why;
-  EXPECT_TRUE(engine.CheckInvariantsQuiescent(&why)) << why;
-}
-
-// Lossy counting is the engine whose round-boundary eviction retires
-// summary nodes continuously, so with kFlat the SummaryNodePool's recycle
-// path (EBR-retired nodes returned and re-allocated) carries the steady
-// state — not just the bump allocator. Estimates must stay within the
-// Lossy Counting bound throughout.
-TEST(FlatLayoutConcurrentTest, LossyCountingRecyclesPooledNodes) {
-  CotsLossyCountingOptions opt;
-  opt.epsilon = 0.01;  // width 100: eviction sweeps every 100 offers
-  opt.layout = SummaryLayout::kFlat;
-  ASSERT_TRUE(opt.Validate().ok());
-  CotsLossyCounting engine(opt);
-
-  constexpr int kThreads = 3;
-  constexpr uint64_t kOps = 30000;
-  std::vector<std::unordered_map<ElementId, uint64_t>> truths(kThreads);
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      auto handle = engine.RegisterThread();
-      ASSERT_NE(handle, nullptr);
-      Xoshiro256 rng(77 + static_cast<uint64_t>(t));
-      for (uint64_t i = 0; i < kOps; ++i) {
-        const ElementId e = 1 + rng.NextBounded(2000);
-        handle->Offer(e);
-        ++truths[static_cast<size_t>(t)][e];
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
-  std::unordered_map<ElementId, uint64_t> truth;
-  for (const auto& partial : truths) {
-    for (const auto& [key, count] : partial) truth[key] += count;
-  }
-  const uint64_t n = engine.stream_length();
-  EXPECT_EQ(n, kThreads * kOps);
-  EXPECT_GT(engine.rounds_completed(), 0u);
-  // Lossy Counting: estimate never under-counts by more than error, and
-  // error stays within delta = floor(N / width).
-  const uint64_t delta = n / engine.bucket_width();
-  for (const Counter& c : engine.CountersDescending()) {
-    const uint64_t exact = truth.count(c.key) != 0 ? truth[c.key] : 0;
-    EXPECT_LE(exact, c.count + delta) << "key " << c.key;
-    EXPECT_LE(c.count, exact + c.error) << "key " << c.key;
-  }
-  std::string why;
-  EXPECT_TRUE(engine.CheckInvariantsQuiescent(&why)) << why;
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Epoch-published query view tests (DESIGN.md §11): staleness contract,
 // wait-free acquisition through ThreadHandles, reclamation across refreshes,
 // auto-refresh cadence, fleet global views, and the view.publish failpoint.
+// The lease and publication tests are typed over both publishers: the
+// engine (whose view ablation_query_threads measures) and the fleet (whose
+// view serves traffic).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/published_view.h"
@@ -28,22 +32,8 @@ CotsSpaceSavingOptions SmallEngine(uint64_t view_refresh_interval = 0) {
   return options;
 }
 
-TEST(QueryViewTest, NoViewBeforeFirstRefresh) {
-  CotsSpaceSaving engine(SmallEngine());
-  auto handle = engine.RegisterThread();
-  ASSERT_NE(handle, nullptr);
-  EXPECT_EQ(engine.query_view_sequence(), 0u);
-  EXPECT_EQ(handle->AcquireQueryView(), nullptr);  // no Release on nullptr
-
-  // Queries still work via the live-structure fallback.
-  for (int i = 0; i < 100; ++i) handle->Offer(7);
-  QueryEngine queries(handle.get());
-  EXPECT_TRUE(queries.IsElementFrequent(7, 0.5));
-  EXPECT_TRUE(queries.IsElementInTopK(7, 1));
-}
-
-// Satellite 4's staleness bound, single writer: every offer acknowledged
-// before RefreshQueryView() returns is visible to view queries after it.
+// The staleness bound, single writer: every offer acknowledged before
+// RefreshQueryView() returns is visible to view queries after it.
 TEST(QueryViewTest, ManualRefreshObservesAllPriorOffers) {
   CotsSpaceSaving engine(SmallEngine());
   auto handle = engine.RegisterThread();
@@ -93,78 +83,6 @@ TEST(QueryViewTest, AutoRefreshPublishesOnInterval) {
   EXPECT_GT(view->stream_length(), 0u);
   handle->ReleaseQueryView();
 }
-
-TEST(QueryViewTest, EngineLevelAcquireForUnregisteredThreads) {
-  CotsSpaceSaving engine(SmallEngine());
-  auto handle = engine.RegisterThread();
-  ASSERT_NE(handle, nullptr);
-  for (int i = 0; i < 10; ++i) handle->Offer(3);
-  engine.RefreshQueryView();
-
-  // The engine-level (mutex-guarded) convenience path.
-  const PublishedView* view = engine.AcquireQueryView();
-  ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->stream_length(), 10u);
-  engine.ReleaseQueryView();
-
-  QueryEngine queries(&engine);
-  EXPECT_TRUE(queries.IsElementFrequent(3, 0.5));
-}
-
-// A reader's leased view must stay valid (immutable, unreclaimed) across
-// any number of later publications; ASan would flag a grace-period bug.
-TEST(QueryViewTest, LeasedViewSurvivesLaterRefreshes) {
-  CotsSpaceSaving engine(SmallEngine());
-  auto writer = engine.RegisterThread();
-  auto reader = engine.RegisterThread();
-  ASSERT_NE(writer, nullptr);
-  ASSERT_NE(reader, nullptr);
-
-  for (int i = 0; i < 50; ++i) writer->Offer(11);
-  engine.RefreshQueryView();
-
-  const PublishedView* leased = reader->AcquireQueryView();
-  ASSERT_NE(leased, nullptr);
-  const uint64_t leased_seq = leased->sequence();
-  const uint64_t leased_n = leased->stream_length();
-
-  // Publish many successors; each retires its predecessor through EBR.
-  for (int round = 0; round < 32; ++round) {
-    for (int i = 0; i < 10; ++i) writer->Offer(static_cast<ElementId>(round));
-    engine.RefreshQueryView();
-  }
-  EXPECT_EQ(engine.query_view_sequence(), 33u);
-
-  // The leased snapshot is untouched by the churn.
-  EXPECT_EQ(leased->sequence(), leased_seq);
-  EXPECT_EQ(leased->stream_length(), leased_n);
-  const auto found = leased->Find(11);
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->count, 50u);
-  reader->ReleaseQueryView();
-
-  // A fresh acquisition sees the newest view.
-  const PublishedView* fresh = reader->AcquireQueryView();
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(fresh->sequence(), 33u);
-  reader->ReleaseQueryView();
-}
-
-#if COTS_METRICS_ENABLED
-TEST(QueryViewTest, RefreshCounterAdvances) {
-  const uint64_t before =
-      MetricsRegistry::Global().Snapshot().CounterValue("view.refreshes");
-  CotsSpaceSaving engine(SmallEngine());
-  auto handle = engine.RegisterThread();
-  ASSERT_NE(handle, nullptr);
-  handle->Offer(1);
-  engine.RefreshQueryView();
-  engine.RefreshQueryView();
-  const uint64_t after =
-      MetricsRegistry::Global().Snapshot().CounterValue("view.refreshes");
-  EXPECT_GE(after - before, 2u);
-}
-#endif  // COTS_METRICS_ENABLED
 
 // The tsan centerpiece: ingest threads auto-refreshing while query threads
 // hammer the wait-free point-query path through their own handles, plus a
@@ -241,11 +159,13 @@ TEST(QueryViewTest, ConcurrentIngestRefreshAndPointQueries) {
 
   // Quiesced: one more refresh must capture the exact final stream length.
   engine.RefreshQueryView();
-  const PublishedView* view = engine.AcquireQueryView();
+  auto reader = engine.RegisterThread();
+  ASSERT_NE(reader, nullptr);
+  const PublishedView* view = reader->AcquireQueryView();
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->stream_length(),
             uint64_t{kIngestThreads} * kBatches * kBatchLen);
-  engine.ReleaseQueryView();
+  reader->ReleaseQueryView();
 }
 
 CotsFleetOptions SmallFleet(uint64_t view_refresh_interval = 0) {
@@ -331,18 +251,111 @@ TEST(FleetQueryViewTest, AutoRefreshAndConcurrentQueries) {
 
   EXPECT_GE(fleet.query_view_sequence(), 1u);
   fleet.RefreshQueryView();
-  const PublishedView* view = fleet.AcquireQueryView();
+  auto reader = fleet.RegisterThread();
+  ASSERT_NE(reader, nullptr);
+  const PublishedView* view = reader->AcquireQueryView();
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->stream_length(), uint64_t{kBatches} * kBatchLen);
-  fleet.ReleaseQueryView();
+  reader->ReleaseQueryView();
 }
 
+// ---- Typed over both publishers ----
+
+template <typename Publisher>
+std::unique_ptr<Publisher> MakePublisher(uint64_t view_refresh_interval = 0) {
+  if constexpr (std::is_same_v<Publisher, CotsFleet>) {
+    return std::make_unique<CotsFleet>(SmallFleet(view_refresh_interval));
+  } else {
+    return std::make_unique<CotsSpaceSaving>(
+        SmallEngine(view_refresh_interval));
+  }
+}
+
+using Publishers = ::testing::Types<CotsSpaceSaving, CotsFleet>;
+
+template <typename Publisher>
+class QueryViewPublisherTest : public ::testing::Test {};
+TYPED_TEST_SUITE(QueryViewPublisherTest, Publishers);
+
+TYPED_TEST(QueryViewPublisherTest, NoViewBeforeFirstRefresh) {
+  auto publisher = MakePublisher<TypeParam>();
+  auto handle = publisher->RegisterThread();
+  ASSERT_NE(handle, nullptr);
+  EXPECT_EQ(publisher->query_view_sequence(), 0u);
+  EXPECT_EQ(handle->AcquireQueryView(), nullptr);  // no Release on nullptr
+
+  // Queries still work via the live-structure fallback.
+  for (int i = 0; i < 100; ++i) handle->Offer(7);
+  QueryEngine queries(handle.get());
+  EXPECT_TRUE(queries.IsElementFrequent(7, 0.5));
+  EXPECT_TRUE(queries.IsElementInTopK(7, 1));
+}
+
+// A reader's leased view must stay valid (immutable, unreclaimed) across
+// any number of later publications; ASan would flag a grace-period bug.
+TYPED_TEST(QueryViewPublisherTest, LeasedViewSurvivesLaterRefreshes) {
+  auto publisher = MakePublisher<TypeParam>();
+  auto writer = publisher->RegisterThread();
+  auto reader = publisher->RegisterThread();
+  ASSERT_NE(writer, nullptr);
+  ASSERT_NE(reader, nullptr);
+
+  for (int i = 0; i < 50; ++i) writer->Offer(11);
+  publisher->RefreshQueryView();
+
+  const PublishedView* leased = reader->AcquireQueryView();
+  ASSERT_NE(leased, nullptr);
+  const uint64_t leased_seq = leased->sequence();
+  const uint64_t leased_n = leased->stream_length();
+
+  // Publish many successors; each retires its predecessor through EBR.
+  for (int round = 0; round < 32; ++round) {
+    for (int i = 0; i < 10; ++i) writer->Offer(static_cast<ElementId>(round));
+    publisher->RefreshQueryView();
+  }
+  EXPECT_EQ(publisher->query_view_sequence(), 33u);
+
+  // The leased snapshot is untouched by the churn.
+  EXPECT_EQ(leased->sequence(), leased_seq);
+  EXPECT_EQ(leased->stream_length(), leased_n);
+  const auto found = leased->Find(11);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->count, 50u);
+  reader->ReleaseQueryView();
+
+  // A fresh acquisition sees the newest view.
+  const PublishedView* fresh = reader->AcquireQueryView();
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->sequence(), 33u);
+  reader->ReleaseQueryView();
+}
+
+#if COTS_METRICS_ENABLED
+TYPED_TEST(QueryViewPublisherTest, RefreshCounterAdvances) {
+  const uint64_t before =
+      MetricsRegistry::Global().Snapshot().CounterValue("view.refreshes");
+  auto publisher = MakePublisher<TypeParam>();
+  auto handle = publisher->RegisterThread();
+  ASSERT_NE(handle, nullptr);
+  handle->Offer(1);
+  publisher->RefreshQueryView();
+  publisher->RefreshQueryView();
+  const uint64_t after =
+      MetricsRegistry::Global().Snapshot().CounterValue("view.refreshes");
+  EXPECT_GE(after - before, 2u);
+}
+#endif  // COTS_METRICS_ENABLED
+
 #if COTS_FAILPOINTS_ENABLED
+template <typename Publisher>
+class FailpointQueryViewTest : public ::testing::Test {};
+TYPED_TEST_SUITE(FailpointQueryViewTest, Publishers);
+
 // Stretch the publication window: yielding at the view.publish site (after
 // Build, before the exchange) widens the race between concurrent
 // refreshers and readers. Correctness checks are the same as above — the
 // point is to force the interleavings the failpoint exposes.
-TEST(FailpointQueryViewTest, YieldAtPublishSiteKeepsViewsConsistent) {
+TYPED_TEST(FailpointQueryViewTest, YieldAtPublishSiteKeepsViewsConsistent) {
   FailpointSpec spec;
   spec.action = FailpointSpec::Action::kYield;
   spec.num = 1;
@@ -350,11 +363,11 @@ TEST(FailpointQueryViewTest, YieldAtPublishSiteKeepsViewsConsistent) {
   Failpoints::Global().Enable("view.publish", spec);
 
   {
-    CotsSpaceSaving engine(SmallEngine(/*view_refresh_interval=*/128));
+    auto publisher = MakePublisher<TypeParam>(/*view_refresh_interval=*/128);
     std::atomic<bool> done{false};
 
-    std::thread ingest([&engine] {
-      auto handle = engine.RegisterThread();
+    std::thread ingest([&publisher] {
+      auto handle = publisher->RegisterThread();
       ASSERT_NE(handle, nullptr);
       std::vector<ElementId> batch(128);
       for (int b = 0; b < 64; ++b) {
@@ -364,13 +377,13 @@ TEST(FailpointQueryViewTest, YieldAtPublishSiteKeepsViewsConsistent) {
         ASSERT_TRUE(handle->OfferBatch(batch.data(), batch.size()));
       }
     });
-    std::thread refresher([&engine, &done] {
+    std::thread refresher([&publisher, &done] {
       while (!done.load(std::memory_order_acquire)) {
-        engine.RefreshQueryView();
+        publisher->RefreshQueryView();
       }
     });
-    std::thread reader([&engine, &done] {
-      auto handle = engine.RegisterThread();
+    std::thread reader([&publisher, &done] {
+      auto handle = publisher->RegisterThread();
       ASSERT_NE(handle, nullptr);
       uint64_t last_seq = 0;
       while (!done.load(std::memory_order_acquire)) {

@@ -22,9 +22,10 @@ directly (their ratio isolates the flat victim-scan cost), and the mean
 smooths the per-row noise of millisecond-scale CI measurements — losing
 SIMD or a scan regression moves every alpha together, which the mean
 catches, while one noisy row does not trip it. Per-row ratios are printed
-for diagnosis. The ``cots`` rows differ between layouts only by node-pool
-allocation, so their ratio is noise; they are reported but never gated
-unless ``--all-pairs`` switches to strict per-row gating of everything.
+for diagnosis, and ``--all-pairs`` switches to strict per-row gating. Only
+the sequential rows come in both layouts: the CoTS engine has a single
+node layout, so its rows carry no layout tag and are never paired (the
+"cots flat" pairs an older baseline may hold are ignored).
 
 ``--absolute`` switches to raw rate comparison (current flat vs baseline
 flat) for same-machine use, e.g. re-running on the box that made the
@@ -47,7 +48,7 @@ def load_rows(path):
         rate = row.get("rate_eps")
         if layout is None or rate is None or rate <= 0:
             continue
-        # Pair flat and linked rows: "cots flat a=1.5" <-> "cots a=1.5".
+        # Pair "sequential flat a=1.5" with its linked twin "sequential a=1.5".
         key = row["label"].replace("flat ", "", 1)
         rows.setdefault(key, {})[layout] = rate
     return rows
