@@ -1,46 +1,52 @@
 // ingest_server: a minimal network front-end for the CotsFleet (DESIGN.md
-// §9). An epoll event loop accepts loopback TCP connections, parses the
+// §9.5). An epoll event loop accepts loopback TCP connections, parses the
 // wire protocol (a raw stream of little-endian uint64 element ids, no
-// framing), accumulates per-connection batches, and feeds them to the
-// fleet through OfferBatchBounded — so the network path runs the same
-// shard router as the in-process benches, and a batch either lands on its
-// shards in full or is refused in full. A batch is dispatched when it
-// reaches CotsFleet::kBatchDepth keys or when a read drains the socket,
-// so keys on an idle connection are counted without waiting for more.
+// framing) and feeds the keys to the fleet through OfferBatchBounded in
+// batches of up to CotsFleet::kBatchDepth — so the network path runs the
+// same shard router as the in-process benches, and a batch either lands on
+// its shards in full or is refused in full. Each readiness event gets one
+// read(), and every key that read completes is dispatched before the loop
+// moves on: keys on an idle connection are counted without waiting for
+// more, and one saturating connection cannot hold the loop.
 //
 //   ./ingest_server --port=7171 --shards=4 --capacity=1000
 //     serves until SIGINT/SIGTERM, printing a top-k report plus a delta
 //     stats line (offers/s, shard hand-off delta, view staleness) every
 //     --report-ms milliseconds. On the first signal the listeners close
-//     and existing connections drain (bounded by a drain deadline); a
-//     second signal exits immediately.
+//     and existing connections drain for up to kDrain; a second signal
+//     exits immediately.
 //
 // Overload model (DESIGN.md §13): an AdmissionController is sampled on a
-// short tick from the shard inbox depths and kOverloaded offer outcomes. While it reports Shedding
-// the server keeps reading (never stalls the kernel buffers) but routes
-// decoded batches to CotsFleet::Shed() — absorbed into the error bounds,
-// not the counters — and answers each shedding connection with a
-// rate-limited "busy <retry-after-ms>\n" line so well-behaved clients back
-// off. --force-shed-at=N / --force-recover-at=M force the Shedding state
-// while N <= ingested+shed < M (deterministic testing hook).
+// 50 ms tick from the shard inbox depths and kOverloaded offer outcomes.
+// While it reports Shedding the server keeps reading (never stalls the
+// kernel buffers) but routes decoded batches to CotsFleet::Shed() —
+// absorbed into the error bounds, not the counters — and answers each
+// shedding connection with a rate-limited "busy <retry-after-ms>\n" line
+// so well-behaved clients back off. --force-shed-at=N / --force-recover-at=M
+// force the Shedding state while N <= ingested+shed < M (deterministic
+// testing hook).
 //
 // A second loopback listener (--stats-port, ephemeral by default) serves
 // one-shot line commands: "stats\n" returns a JSON document with server
 // totals (including the overload section) plus the full metrics snapshot,
-// and "trace\n" returns the flight-recorder dump in Chrome trace-event
-// JSON (load in ui.perfetto.dev). --trace-out=FILE writes the same dump at
-// shutdown. Responses are written non-blocking through a per-connection
-// output buffer with a write deadline; clients that stop reading are
-// evicted (server.slow_client_evictions), as are stats connections that
-// idle without ever sending a command. EMFILE on accept evicts the
-// oldest-idle connection instead of dropping the listener on the floor.
+// "trace\n" returns the flight-recorder dump in Chrome trace-event JSON
+// (load in ui.perfetto.dev), and any other line gets the stats document.
+// --trace-out=FILE writes the same dump at shutdown.
+//
+// Ingest and stats connections share one accept loop, one reply writer,
+// one close path and one deadline sweep; only their read handlers differ.
+// A reply the socket does not take at once waits behind EPOLLOUT, and a
+// client that leaves it there past kClientDeadline is evicted
+// (server.slow_client_evictions), as is a stats connection that sends no
+// command line within kStatsIdle. EMFILE on accept evicts the oldest-idle
+// connection, ingest connections before stats connections.
 //
 //   ./ingest_server --selftest --seconds=5
-//     spawns loopback client threads in-process, ingests for ~N seconds,
-//     then drains, stops the fleet, and exits 0 iff conservation holds:
-//     every element the clients wrote was counted (fleet stream length ==
-//     bytes sent / 8) and the merged top-k view is internally consistent.
-//     This is the CI smoke mode.
+//     kSelftestClients loopback clients write back-to-back for ~N seconds
+//     while stats probes run back-to-back from halfway through; exits 0
+//     iff the probes all returned before any client finished and every
+//     element the clients wrote was counted (fleet stream length == bytes
+//     sent / 8). This is the CI smoke mode.
 //
 //   ./ingest_server --shed-selftest
 //     end-to-end overload drill over a real socket: a client streams keys
@@ -51,17 +57,17 @@
 //
 //   ./ingest_server --idle-selftest
 //     writes 100 keys (one word split across two writes) on a connection
-//     that then stays open, and exits 0 iff the stats port reports
-//     stream_length 100 within 1 s.
+//     that then stays open and requires the stats port to report
+//     stream_length 100 within 1 s; then pins the stats protocol (a
+//     half-closed "stats", "trace", an unknown command, an overlong line).
 
 #ifdef __linux__
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -74,63 +80,62 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cots/cots_fleet.h"
-#include "stream/zipf_generator.h"
 #include "util/json_writer.h"
+#include "util/macros.h"
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/trace.h"
 
 namespace {
 
+using cots::AdmissionController;
 using cots::AdmissionState;
 using cots::CotsFleet;
-using cots::CotsFleetOptions;
 using cots::Counter;
 using cots::ElementId;
 using cots::OfferOutcome;
 
 using SteadyClock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+
+constexpr milliseconds kClientDeadline{5000};  // to drain a parked reply
+constexpr milliseconds kStatsIdle{10000};      // to send a stats command
+constexpr milliseconds kDrain{3000};           // after the first signal
+constexpr milliseconds kTick{50};  // admission sample + deadline sweep
+constexpr size_t kReadBytes = 16384;  // one ingest read
+constexpr size_t kMaxCommand = 4096;  // longest stats command line
+constexpr int kSelftestClients = 3;
 
 volatile std::sig_atomic_t g_interrupted = 0;
 void OnSignal(int) { g_interrupted = g_interrupted + 1; }
 
+enum class Mode { kServe, kSelftest, kShedSelftest, kIdleSelftest };
+
 struct ServerConfig {
+  Mode mode = Mode::kServe;
   uint16_t port = 0;        // 0 = ephemeral (printed once bound)
   uint16_t stats_port = 0;  // 0 = ephemeral (printed once bound)
   size_t shards = 0;        // 0 = hardware threads
   size_t capacity = 1000;
   size_t topk = 10;
-  int report_ms = 2000;
+  int report_ms = 2000;  // 0 = no periodic report
   // Fleet-level auto-refresh interval for the published global view; keeps
   // the view.staleness_offers gauge and view.publish spans live. 0 = off.
   uint64_t view_refresh = 8192;
   std::string trace_out;  // empty = no trace dump at shutdown
-  bool selftest = false;
-  bool shed_selftest = false;
-  bool idle_selftest = false;
-  int seconds = 5;
-  int clients = 3;
+  int seconds = 5;        // --selftest ingest time
   // Deterministic overload hook: force the Shedding state while
   // force_shed_at <= ingested + shed < force_recover_at. 0 = disabled.
   uint64_t force_shed_at = 0;
   uint64_t force_recover_at = 0;
-  // Write deadline for buffered responses (busy lines, stats bodies); a
-  // client that keeps a non-empty output buffer past this is evicted.
-  int client_deadline_ms = 5000;
-  // Stats connections that never complete a command line within this are
-  // evicted (a scraper that connected and wandered off).
-  int stats_idle_ms = 10000;
-  // Hint handed to shed clients in the "busy <ms>" reply. 0 = library
-  // default (AdmissionOptions::retry_after_ms).
-  uint32_t retry_after_ms = 0;
-  // How long existing connections may keep draining after the first
-  // SIGINT/SIGTERM before the server force-closes them.
-  int drain_ms = 3000;
   // SO_RCVBUF for the ingest listener (inherited by accepted sockets).
   // 0 = kernel default. The shed selftest shrinks it so TCP flow control
   // keeps the client honest about the server's actual consumption rate.
@@ -141,45 +146,42 @@ ServerConfig ParseArgs(int argc, char** argv) {
   ServerConfig c;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strncmp(a, "--port=", 7) == 0) {
-      c.port = static_cast<uint16_t>(std::strtoul(a + 7, nullptr, 10));
-    } else if (std::strncmp(a, "--stats-port=", 13) == 0) {
-      c.stats_port = static_cast<uint16_t>(std::strtoul(a + 13, nullptr, 10));
-    } else if (std::strncmp(a, "--view-refresh=", 15) == 0) {
-      c.view_refresh = std::strtoull(a + 15, nullptr, 10);
-    } else if (std::strncmp(a, "--trace-out=", 12) == 0) {
-      c.trace_out = a + 12;
-    } else if (std::strncmp(a, "--shards=", 9) == 0) {
-      c.shards = std::strtoull(a + 9, nullptr, 10);
-    } else if (std::strncmp(a, "--capacity=", 11) == 0) {
-      c.capacity = std::strtoull(a + 11, nullptr, 10);
-    } else if (std::strncmp(a, "--topk=", 7) == 0) {
-      c.topk = std::strtoull(a + 7, nullptr, 10);
-    } else if (std::strncmp(a, "--report-ms=", 12) == 0) {
-      c.report_ms = static_cast<int>(std::strtol(a + 12, nullptr, 10));
+    const char* v = nullptr;
+    // True (pointing `v` at the value) if `a` is `name` followed by a value.
+    auto flag = [&](const char* name) {
+      const size_t n = std::strlen(name);
+      v = std::strncmp(a, name, n) == 0 ? a + n : nullptr;
+      return v != nullptr;
+    };
+    auto num = [&] { return std::strtoull(v, nullptr, 10); };
+    if (flag("--port=")) {
+      c.port = static_cast<uint16_t>(num());
+    } else if (flag("--stats-port=")) {
+      c.stats_port = static_cast<uint16_t>(num());
+    } else if (flag("--view-refresh=")) {
+      c.view_refresh = num();
+    } else if (flag("--trace-out=")) {
+      c.trace_out = v;
+    } else if (flag("--shards=")) {
+      c.shards = num();
+    } else if (flag("--capacity=")) {
+      c.capacity = num();
+    } else if (flag("--topk=")) {
+      c.topk = num();
+    } else if (flag("--report-ms=")) {
+      c.report_ms = static_cast<int>(num());
+    } else if (flag("--seconds=")) {
+      c.seconds = static_cast<int>(num());
+    } else if (flag("--force-shed-at=")) {
+      c.force_shed_at = num();
+    } else if (flag("--force-recover-at=")) {
+      c.force_recover_at = num();
     } else if (std::strcmp(a, "--selftest") == 0) {
-      c.selftest = true;
+      c.mode = Mode::kSelftest;
     } else if (std::strcmp(a, "--shed-selftest") == 0) {
-      c.shed_selftest = true;
+      c.mode = Mode::kShedSelftest;
     } else if (std::strcmp(a, "--idle-selftest") == 0) {
-      c.idle_selftest = true;
-    } else if (std::strncmp(a, "--seconds=", 10) == 0) {
-      c.seconds = static_cast<int>(std::strtol(a + 10, nullptr, 10));
-    } else if (std::strncmp(a, "--clients=", 10) == 0) {
-      c.clients = static_cast<int>(std::strtol(a + 10, nullptr, 10));
-    } else if (std::strncmp(a, "--force-shed-at=", 16) == 0) {
-      c.force_shed_at = std::strtoull(a + 16, nullptr, 10);
-    } else if (std::strncmp(a, "--force-recover-at=", 19) == 0) {
-      c.force_recover_at = std::strtoull(a + 19, nullptr, 10);
-    } else if (std::strncmp(a, "--client-deadline-ms=", 21) == 0) {
-      c.client_deadline_ms = static_cast<int>(std::strtol(a + 21, nullptr, 10));
-    } else if (std::strncmp(a, "--stats-idle-ms=", 16) == 0) {
-      c.stats_idle_ms = static_cast<int>(std::strtol(a + 16, nullptr, 10));
-    } else if (std::strncmp(a, "--retry-after-ms=", 17) == 0) {
-      c.retry_after_ms =
-          static_cast<uint32_t>(std::strtoul(a + 17, nullptr, 10));
-    } else if (std::strncmp(a, "--drain-ms=", 11) == 0) {
-      c.drain_ms = static_cast<int>(std::strtol(a + 11, nullptr, 10));
+      c.mode = Mode::kIdleSelftest;
     } else {
       std::fprintf(stderr,
                    "unknown argument: %s\n"
@@ -187,9 +189,7 @@ ServerConfig ParseArgs(int argc, char** argv) {
                    "[--capacity=M] [--topk=K] [--report-ms=MS] "
                    "[--view-refresh=N] [--trace-out=FILE] "
                    "[--force-shed-at=N] [--force-recover-at=M] "
-                   "[--client-deadline-ms=MS] [--stats-idle-ms=MS] "
-                   "[--retry-after-ms=MS] [--drain-ms=MS] "
-                   "[--selftest [--seconds=S] [--clients=C]] "
+                   "[--selftest [--seconds=S]] "
                    "[--shed-selftest] [--idle-selftest]\n",
                    a);
       std::exit(2);
@@ -198,34 +198,30 @@ ServerConfig ParseArgs(int argc, char** argv) {
   return c;
 }
 
-// Per-connection parse state: a partial trailing word survives across
-// reads, decoded keys pool into `pending` until a batch fills or the
-// socket runs dry, and replies (busy lines) queue into a non-blocking output
-// buffer with a write deadline.
+// One accepted connection of either kind. The reply writer, the close path
+// and the deadline sweep treat both kinds alike; only the read handler
+// differs (Ingest or ServeStats).
 struct Connection {
   int fd = -1;
-  unsigned char partial[8] = {0};
-  size_t partial_len = 0;
-  std::vector<ElementId> pending;
-  std::string out;       // unsent reply bytes
-  size_t out_off = 0;
-  SteadyClock::time_point out_deadline{};  // valid while !out.empty()
-  SteadyClock::time_point last_activity{};
-  SteadyClock::time_point next_busy{};  // rate limit for busy replies
-};
-
-// A stats connection reads one command line, then streams one buffered
-// response and closes. `since` feeds the idle-eviction sweep.
-struct StatsConn {
-  std::string cmd;
+  bool stats = false;  // accepted on the stats listener
+  // Accept time, refreshed by every ingest read: the EMFILE eviction order,
+  // and for a stats connection the start of its wait for a command.
+  SteadyClock::time_point since{};
+  // Reply writer: unsent bytes, `parked` behind EPOLLOUT until `deadline`.
   std::string out;
   size_t out_off = 0;
-  bool responded = false;
-  SteadyClock::time_point since{};
-  SteadyClock::time_point out_deadline{};
+  bool parked = false;
+  SteadyClock::time_point deadline{};
+  // Ingest: the bytes of a word split across reads, and the rate limit of
+  // busy replies.
+  unsigned char partial[8] = {0};
+  size_t partial_len = 0;
+  SteadyClock::time_point next_busy{};
+  // Stats: the command line so far. Once answered the connection reads no
+  // more and closes as soon as the reply is out.
+  std::string cmd;
+  bool answered = false;
 };
-
-constexpr size_t kDispatchBatch = CotsFleet::kBatchDepth;
 
 uint64_t DecodeLE64(const unsigned char* p) {
   uint64_t v = 0;
@@ -234,17 +230,7 @@ uint64_t DecodeLE64(const unsigned char* p) {
 }
 
 void EncodeLE64(uint64_t v, unsigned char* p) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<unsigned char>(v >> (8 * i));
-    }
-}
-
-bool WriteFile(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
 }
 
 // Bind + listen a nonblocking loopback socket; returns the bound port via
@@ -275,7 +261,7 @@ int ListenLoopback(uint16_t port, uint16_t* bound_port, int rcvbuf = 0) {
 class IngestServer {
  public:
   IngestServer(const ServerConfig& config, CotsFleet* fleet)
-      : config_(config), fleet_(fleet), admission_(AdmissionOpts(config)) {
+      : config_(config), fleet_(fleet) {
     // One last-value gauge per shard, set from the server thread whenever
     // a report or stats snapshot is taken — kMax folds each back out of
     // the per-thread slots (only one thread ever writes them).
@@ -285,18 +271,20 @@ class IngestServer {
     }
   }
 
+  ~IngestServer() {
+    StopAccepting();
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  }
+  COTS_DISALLOW_COPY_AND_ASSIGN(IngestServer);
+
   // Binds and listens (ingest + stats); returns the ingest port (0 on
   // failure). stats_port() is valid afterwards.
   uint16_t Start() {
     uint16_t port = 0;
     listen_fd_ = ListenLoopback(config_.port, &port, config_.ingest_rcvbuf);
-    if (listen_fd_ < 0) return 0;
     stats_listen_fd_ = ListenLoopback(config_.stats_port, &stats_port_);
     epoll_fd_ = ::epoll_create1(0);
-    if (stats_listen_fd_ < 0 || epoll_fd_ < 0) {
-      Close();
-      return 0;
-    }
+    if (listen_fd_ < 0 || stats_listen_fd_ < 0 || epoll_fd_ < 0) return 0;
     for (int fd : {listen_fd_, stats_listen_fd_}) {
       epoll_event ev{};
       ev.events = EPOLLIN;
@@ -307,10 +295,9 @@ class IngestServer {
   }
 
   // Runs the event loop until `done` becomes true (selftest) or a signal
-  // arrives. All connection buffers are flushed before returning, so
-  // everything the clients managed to write is counted. The drain is
-  // bounded: after config_.drain_ms (or a second signal) remaining
-  // connections are force-closed once their decoded backlog is flushed.
+  // arrives, then closes every connection. Connections drain first, so
+  // everything the clients managed to write is counted; the drain is
+  // bounded by kDrain (or a second signal).
   void Run(const std::atomic<bool>* done) {
     auto handle = fleet_->RegisterThread();
     if (handle == nullptr) {
@@ -332,78 +319,58 @@ class IngestServer {
         stop_begin = SteadyClock::now();
         StopAccepting();
       }
-      // Once stopping, keep sweeping with a zero timeout until every
+      // Once stopping, keep polling with a zero timeout until every ingest
       // connection has drained: bytes already in socket buffers belong to
       // accepted writes and must reach the fleet.
-      const int timeout_ms = stopping ? 0 : 100;
-      const int ready = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+      const int ready = ::epoll_wait(epoll_fd_, events, 64, stopping ? 0 : 100);
       if (ready < 0 && errno != EINTR) break;
       for (int i = 0; i < ready; ++i) {
         const int fd = events[i].data.fd;
-        const uint32_t ev = events[i].events;
-        if (fd == listen_fd_) {
-          Accept(handle.get());
-        } else if (fd == stats_listen_fd_) {
-          AcceptStats(handle.get());
-        } else if (stats_conns_.count(fd) != 0) {
-          if ((ev & EPOLLOUT) != 0) FlushStatsOut(fd);
-          if (stats_conns_.count(fd) != 0 && (ev & ~EPOLLOUT) != 0) {
-            ServiceStats(fd);
-          }
+        if (fd == listen_fd_ || fd == stats_listen_fd_) {
+          Accept(fd);
+          continue;
+        }
+        const auto it = conns_.find(fd);
+        if (it == conns_.end()) continue;
+        Connection* c = &it->second;
+        if ((events[i].events & EPOLLOUT) != 0 && !Flush(c)) continue;
+        if ((events[i].events & ~EPOLLOUT) == 0) continue;
+        if (c->stats) {
+          ServeStats(c);
         } else {
-          if ((ev & EPOLLOUT) != 0) FlushConnOut(fd);
-          if (connections_.count(fd) != 0 && (ev & ~EPOLLOUT) != 0) {
-            Service(fd, handle.get());
-          }
+          Ingest(c, handle.get());
         }
       }
       const auto now = SteadyClock::now();
-      if (now - last_tick >= std::chrono::milliseconds(50)) {
+      if (now - last_tick >= kTick) {
         if (!stopping) SampleAdmission();
-        SweepDeadlines(now, handle.get());
+        SweepDeadlines(now);
         last_tick = now;
       }
       if (stopping) {
-        if (ready <= 0 && connections_.empty()) break;
-        if (g_interrupted >= 2 ||
-            now - stop_begin >= std::chrono::milliseconds(config_.drain_ms)) {
-          break;  // drain deadline: flush what we decoded and leave
+        const bool drained = std::all_of(
+            conns_.begin(), conns_.end(),
+            [](const auto& entry) { return entry.second.stats; });
+        if ((ready <= 0 && drained) || g_interrupted >= 2 ||
+            now - stop_begin >= kDrain) {
+          break;
         }
       }
-      if (!config_.selftest && config_.report_ms > 0) {
-        if (now - last_report >=
-            std::chrono::milliseconds(config_.report_ms)) {
-          PrintTopK();
-          PrintDeltaLine(std::chrono::duration<double>(now - last_report)
-                             .count());
-          last_report = now;
-        }
+      if (config_.report_ms > 0 &&
+          now - last_report >= milliseconds(config_.report_ms)) {
+        PrintTopK();
+        PrintDeltaLine(std::chrono::duration<double>(now - last_report)
+                           .count());
+        last_report = now;
       }
     }
-    // Flush any batch still pooled below the dispatch threshold.
-    for (auto& [fd, conn] : connections_) {
-      FlushPending(&conn, handle.get());
-      ::close(fd);
-    }
-    connections_.clear();
-  }
-
-  void Close() {
-    for (auto& [fd, conn] : stats_conns_) ::close(fd);
-    stats_conns_.clear();
-    for (auto& [fd, conn] : connections_) ::close(fd);
-    connections_.clear();
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    epoll_fd_ = -1;
-    StopAccepting();
+    for (const auto& [fd, c] : conns_) ::close(fd);
+    conns_.clear();
   }
 
   uint64_t ingested() const { return ingested_; }
   uint64_t shed() const { return shed_; }
-  uint64_t overloaded_batches() const { return overloaded_batches_; }
-  uint64_t slow_client_evictions() const { return slow_client_evictions_; }
   uint16_t stats_port() const { return stats_port_; }
-  const cots::AdmissionController& admission() const { return admission_; }
 
   void PrintTopK() const {
     const cots::CounterSet view = fleet_->GlobalView();
@@ -447,7 +414,7 @@ class IngestServer {
     w.Key("shed_weight").Uint(fleet_->shed_weight());
     w.Key("deadline_misses").Uint(fleet_->deadline_misses());
     w.Key("overloaded_batches").Uint(overloaded_batches_);
-    w.Key("retry_after_ms").Uint(admission_.retry_after_ms());
+    w.Key("retry_after_ms").Uint(AdmissionController::kRetryAfterMs);
     w.Key("transitions").Uint(admission_.transitions());
     w.Key("slow_client_evictions").Uint(slow_client_evictions_);
     w.Key("stats_idle_evictions").Uint(stats_idle_evictions_);
@@ -460,12 +427,6 @@ class IngestServer {
   }
 
  private:
-  static cots::AdmissionOptions AdmissionOpts(const ServerConfig& config) {
-    cots::AdmissionOptions o;
-    if (config.retry_after_ms != 0) o.retry_after_ms = config.retry_after_ms;
-    return o;
-  }
-
   // Close and deregister both listeners (idempotent); existing
   // connections are unaffected.
   void StopAccepting() {
@@ -478,48 +439,19 @@ class IngestServer {
     }
   }
 
-  void Accept(CotsFleet::ThreadHandle* handle) {
+  // The accept loop of both listeners: accepts until the backlog is empty.
+  // Out of descriptors, it makes room by evicting the oldest-idle
+  // connection rather than silently ceasing to accept (the pending
+  // connection stays queued and is retried).
+  void Accept(int listen_fd) {
     for (;;) {
-      if (listen_fd_ < 0) return;
-      const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+      const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
       if (fd < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
         if (errno == EINTR || errno == ECONNABORTED) continue;
-        if (errno == EMFILE || errno == ENFILE) {
-          // Out of descriptors: make room by dropping the oldest-idle
-          // connection rather than silently ceasing to accept (the
-          // pending connection stays queued and is retried next loop).
-          if (EvictOldestIdle(handle)) continue;
-        }
-        return;
-      }
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = fd;
-      if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-        ::close(fd);
-        continue;
-      }
-      Connection conn;
-      conn.fd = fd;
-      conn.pending.reserve(kDispatchBatch);
-      conn.last_activity = SteadyClock::now();
-      connections_.emplace(fd, std::move(conn));
-    }
-  }
-
-  void AcceptStats(CotsFleet::ThreadHandle* handle) {
-    for (;;) {
-      if (stats_listen_fd_ < 0) return;
-      const int fd =
-          ::accept4(stats_listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
-      if (fd < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (errno == EINTR || errno == ECONNABORTED) continue;
-        if ((errno == EMFILE || errno == ENFILE) && EvictOldestIdle(handle)) {
+        if ((errno == EMFILE || errno == ENFILE) && EvictOldestIdle()) {
           continue;
         }
-        return;
+        return;  // backlog empty (EAGAIN) or a hard error
       }
       epoll_event ev{};
       ev.events = EPOLLIN;
@@ -528,225 +460,133 @@ class IngestServer {
         ::close(fd);
         continue;
       }
-      StatsConn conn;
-      conn.since = SteadyClock::now();
-      stats_conns_.emplace(fd, std::move(conn));
+      Connection& c = conns_[fd];
+      c.fd = fd;
+      c.stats = listen_fd == stats_listen_fd_;
+      c.since = SteadyClock::now();
     }
   }
 
-  // EMFILE relief: close the ingest connection idle the longest (its
-  // decoded backlog is flushed first, so nothing accepted is lost), or an
-  // idle stats connection if there is no ingest connection to shed.
-  bool EvictOldestIdle(CotsFleet::ThreadHandle* handle) {
-    int victim = -1;
-    SteadyClock::time_point oldest = SteadyClock::time_point::max();
-    for (const auto& [fd, conn] : connections_) {
-      if (conn.last_activity < oldest) {
-        oldest = conn.last_activity;
-        victim = fd;
-      }
-    }
-    if (victim >= 0) {
-      CloseConnection(victim, handle);
-      ++emfile_evictions_;
-      COTS_COUNTER_INC("server.emfile_evictions");
-      return true;
-    }
-    for (const auto& [fd, conn] : stats_conns_) {
-      if (conn.since < oldest) {
-        oldest = conn.since;
-        victim = fd;
-      }
-    }
-    if (victim >= 0) {
-      CloseStats(victim);
-      ++emfile_evictions_;
-      COTS_COUNTER_INC("server.emfile_evictions");
-      return true;
-    }
-    return false;
+  // EMFILE relief: closes the ingest connection idle the longest, or the
+  // oldest stats connection if no ingest connection is open.
+  bool EvictOldestIdle() {
+    if (conns_.empty()) return false;
+    const auto victim = std::min_element(
+        conns_.begin(), conns_.end(), [](const auto& a, const auto& b) {
+          return std::tie(a.second.stats, a.second.since) <
+                 std::tie(b.second.stats, b.second.since);
+        });
+    Close(&victim->second);
+    ++emfile_evictions_;
+    COTS_COUNTER_INC("server.emfile_evictions");
+    return true;
   }
 
-  void CloseStats(int fd) {
+  // The close path of both kinds. An ingest connection holds no decoded
+  // keys between reads, so closing it loses nothing the server read.
+  void Close(Connection* c) {
+    const int fd = c->fd;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
     ::close(fd);
-    stats_conns_.erase(fd);
+    conns_.erase(fd);
   }
 
-  void SetWantsWrite(int fd, bool wants) {
+  // Evicts connections whose parked reply missed its deadline (slow
+  // readers) and stats connections that sent no command within kStatsIdle.
+  void SweepDeadlines(SteadyClock::time_point now) {
+    std::vector<std::pair<int, bool>> evict;  // fd, slow reader
+    for (const auto& [fd, c] : conns_) {
+      const bool slow = c.parked && now >= c.deadline;
+      if (slow || (c.stats && !c.answered && now - c.since >= kStatsIdle)) {
+        evict.emplace_back(fd, slow);
+      }
+    }
+    for (const auto& [fd, slow] : evict) {
+      Close(&conns_.at(fd));
+      if (slow) {
+        ++slow_client_evictions_;
+        COTS_COUNTER_INC("server.slow_client_evictions");
+      } else {
+        ++stats_idle_evictions_;
+        COTS_COUNTER_INC("server.stats_idle_evictions");
+      }
+    }
+  }
+
+  // Sets the epoll interest: readable until a stats command is answered,
+  // writable while a reply is parked.
+  void Watch(const Connection& c) {
     epoll_event ev{};
-    ev.events = EPOLLIN | (wants ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
+    ev.events = (c.answered ? 0u : EPOLLIN) | (c.parked ? EPOLLOUT : 0u);
+    ev.data.fd = c.fd;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
   }
 
-  // One-shot line protocol: read until '\n', then stream the response
-  // through the buffered non-blocking writer and close. "trace" dumps the
-  // flight recorder; anything else (canonically "stats") gets the metrics
-  // snapshot, so `echo | nc` works as a health check.
-  void ServiceStats(int fd) {
-    StatsConn& conn = stats_conns_[fd];
-    if (conn.responded) {
-      // Command already served; any further readable event is the client
-      // hanging up — nothing to parse, the flush path owns the fd now.
-      char sink[256];
-      const ssize_t r = ::read(fd, sink, sizeof(sink));
-      if (r == 0 || (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
-        CloseStats(fd);
+  // The reply writer of both kinds: writes whatever of `out` the socket
+  // takes and parks the rest behind EPOLLOUT, with kClientDeadline for the
+  // client to drain it. If the peer is gone the rest is dropped (reading
+  // finds out). An answered stats connection closes once its reply is out;
+  // returns false if the connection was closed.
+  bool Flush(Connection* c) {
+    while (c->out_off < c->out.size()) {
+      const ssize_t w = ::write(c->fd, c->out.data() + c->out_off,
+                                c->out.size() - c->out_off);
+      if (w > 0) {
+        c->out_off += static_cast<size_t>(w);
+      } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (!c->parked) {
+          c->parked = true;
+          c->deadline = SteadyClock::now() + kClientDeadline;
+          Watch(*c);
+        }
+        return true;
+      } else {
+        break;
       }
+    }
+    c->out.clear();
+    c->out_off = 0;
+    if (c->answered) {
+      Close(c);
+      return false;
+    }
+    if (c->parked) {
+      c->parked = false;
+      Watch(*c);
+    }
+    return true;
+  }
+
+  // Stats protocol: one command line, one reply, then close. "trace" dumps
+  // the flight recorder; any other line (canonically "stats") gets the
+  // stats document, so `echo | nc` works as a health check.
+  void ServeStats(Connection* c) {
+    if (c->answered) {  // hang-up or error while the reply is parked
+      Close(c);
       return;
     }
-    char buf[256];
-    bool peer_closed = false;
-    for (;;) {
-      const ssize_t r = ::read(fd, buf, sizeof(buf));
-      if (r > 0) {
-        conn.cmd.append(buf, static_cast<size_t>(r));
-        if (conn.cmd.size() > 4096) {  // not a line protocol client
-          CloseStats(fd);
-          return;
-        }
-        continue;
-      }
-      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      peer_closed = true;
-      break;
+    char buf[kMaxCommand];
+    const ssize_t r = ::read(c->fd, buf, sizeof(buf));
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (r <= 0) {  // hung up without a command
+      Close(c);
+      return;
     }
-    const size_t nl = conn.cmd.find('\n');
+    c->cmd.append(buf, static_cast<size_t>(r));
+    const size_t nl = c->cmd.find('\n');
     if (nl == std::string::npos) {
-      if (peer_closed) CloseStats(fd);  // hung up without a command
+      if (c->cmd.size() > kMaxCommand) Close(c);  // not a line protocol
       return;
     }
-    std::string line = conn.cmd.substr(0, nl);
+    std::string_view line(c->cmd.data(), nl);
     while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-      line.pop_back();
+      line.remove_suffix(1);
     }
-    conn.out = line == "trace" ? cots::TraceRegistry::Global().DrainJson()
-                               : StatsJson();
-    conn.out.push_back('\n');
-    conn.out_off = 0;
-    conn.responded = true;
-    conn.out_deadline = SteadyClock::now() +
-                        std::chrono::milliseconds(config_.client_deadline_ms);
-    FlushStatsOut(fd);
-  }
-
-  // Non-blocking writer for stats responses (which can be MBs for a trace
-  // dump): write what the socket takes, park the rest behind EPOLLOUT, and
-  // let the deadline sweep evict clients that stop reading.
-  void FlushStatsOut(int fd) {
-    auto it = stats_conns_.find(fd);
-    if (it == stats_conns_.end()) return;
-    StatsConn& conn = it->second;
-    if (!conn.responded) return;
-    while (conn.out_off < conn.out.size()) {
-      const ssize_t w = ::write(fd, conn.out.data() + conn.out_off,
-                                conn.out.size() - conn.out_off);
-      if (w > 0) {
-        conn.out_off += static_cast<size_t>(w);
-        continue;
-      }
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        SetWantsWrite(fd, true);
-        return;
-      }
-      CloseStats(fd);  // peer vanished mid-response
-      return;
-    }
-    CloseStats(fd);  // response fully delivered
-  }
-
-  // Queue reply bytes on an ingest connection, writing through
-  // immediately when the buffer is empty. Arms EPOLLOUT and a write
-  // deadline for whatever the socket did not take.
-  void AppendReply(Connection* conn, const char* data, size_t len) {
-    if (conn->out.empty()) {
-      size_t off = 0;
-      while (off < len) {
-        const ssize_t w = ::write(conn->fd, data + off, len - off);
-        if (w > 0) {
-          off += static_cast<size_t>(w);
-          continue;
-        }
-        break;  // EAGAIN or error: buffer the rest, let the sweep decide
-      }
-      if (off == len) return;
-      conn->out.assign(data + off, len - off);
-      conn->out_off = 0;
-      conn->out_deadline =
-          SteadyClock::now() +
-          std::chrono::milliseconds(config_.client_deadline_ms);
-      SetWantsWrite(conn->fd, true);
-      return;
-    }
-    conn->out.append(data, len);
-  }
-
-  void FlushConnOut(int fd) {
-    auto it = connections_.find(fd);
-    if (it == connections_.end()) return;
-    Connection& conn = it->second;
-    while (conn.out_off < conn.out.size()) {
-      const ssize_t w = ::write(fd, conn.out.data() + conn.out_off,
-                                conn.out.size() - conn.out_off);
-      if (w > 0) {
-        conn.out_off += static_cast<size_t>(w);
-        continue;
-      }
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      // Write error: the read path will observe the close; just stop.
-      return;
-    }
-    conn.out.clear();
-    conn.out_off = 0;
-    SetWantsWrite(fd, false);
-  }
-
-  // Periodic housekeeping: evict connections whose buffered output has
-  // been stuck past its deadline (slow readers) and stats connections
-  // that idle without ever completing a command.
-  void SweepDeadlines(SteadyClock::time_point now,
-                      CotsFleet::ThreadHandle* handle) {
-    std::vector<int> slow;
-    for (const auto& [fd, conn] : connections_) {
-      if (!conn.out.empty() && now >= conn.out_deadline) slow.push_back(fd);
-    }
-    for (int fd : slow) {
-      CloseConnection(fd, handle);
-      ++slow_client_evictions_;
-      COTS_COUNTER_INC("server.slow_client_evictions");
-    }
-    std::vector<int> stale_slow;
-    std::vector<int> idle;
-    for (const auto& [fd, conn] : stats_conns_) {
-      if (conn.responded) {
-        if (now >= conn.out_deadline) stale_slow.push_back(fd);
-      } else if (now - conn.since >=
-                 std::chrono::milliseconds(config_.stats_idle_ms)) {
-        idle.push_back(fd);
-      }
-    }
-    for (int fd : stale_slow) {
-      CloseStats(fd);
-      ++slow_client_evictions_;
-      COTS_COUNTER_INC("server.slow_client_evictions");
-    }
-    for (int fd : idle) {
-      CloseStats(fd);
-      ++stats_idle_evictions_;
-      COTS_COUNTER_INC("server.stats_idle_evictions");
-    }
-  }
-
-  // Drops an ingest connection after flushing its decoded backlog, so an
-  // eviction never discards keys the server already read off the wire.
-  void CloseConnection(int fd, CotsFleet::ThreadHandle* handle) {
-    auto it = connections_.find(fd);
-    if (it == connections_.end()) return;
-    FlushPending(&it->second, handle);
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-    connections_.erase(it);
+    c->out = line == "trace" ? cots::TraceRegistry::Global().DrainJson()
+                             : StatsJson();
+    c->out.push_back('\n');
+    c->answered = true;
+    Flush(c);
   }
 
   // The --report-ms companion line: rate + raw deltas a human can watch
@@ -772,58 +612,39 @@ class IngestServer {
     last_shed_ = shed_;
   }
 
-  void Service(int fd, CotsFleet::ThreadHandle* handle) {
-    auto it = connections_.find(fd);
-    if (it == connections_.end()) return;
-    Connection& conn = it->second;
-    conn.last_activity = SteadyClock::now();
-    unsigned char buf[16384];
-    for (;;) {
-      const ssize_t r = ::read(fd, buf, sizeof(buf));
-      if (r > 0) {
-        Decode(&conn, buf, static_cast<size_t>(r), handle);
-        continue;
-      }
-      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        // The socket is drained: count what arrived now rather than when
-        // a later read fills the batch (an idle connection may never).
-        FlushPending(&conn, handle);
-        return;
-      }
-      // Peer closed (or hard error): flush and drop the connection.
-      FlushPending(&conn, handle);
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-      ::close(fd);
-      connections_.erase(it);
+  // One read per readiness event. epoll is level-triggered, so a
+  // connection with more bytes waiting is reported again after the other
+  // ready descriptors, the stats port and the tick have had their turn.
+  // The keys the read completes are dispatched at once, in batches of up
+  // to kBatchDepth, so keys on an idle connection are counted now rather
+  // than when a later read would fill a batch.
+  void Ingest(Connection* c, CotsFleet::ThreadHandle* handle) {
+    // The read lands behind the bytes of a word the last read split, and
+    // the words are decoded in place.
+    auto* bytes = reinterpret_cast<unsigned char*>(keys_.data());
+    std::memcpy(bytes, c->partial, c->partial_len);
+    const ssize_t r = ::read(c->fd, bytes + c->partial_len, kReadBytes);
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (r <= 0) {  // peer closed (or hard error)
+      Close(c);
       return;
     }
+    c->since = SteadyClock::now();
+    const size_t len = c->partial_len + static_cast<size_t>(r);
+    const size_t n = len / 8;
+    c->partial_len = len % 8;
+    std::memcpy(c->partial, bytes + 8 * n, c->partial_len);
+    for (size_t i = 0; i < n; ++i) keys_[i] = DecodeLE64(bytes + 8 * i);
+    for (size_t i = 0; i < n; i += CotsFleet::kBatchDepth) {
+      Dispatch(c, keys_.data() + i, std::min(CotsFleet::kBatchDepth, n - i),
+               handle);
+    }
   }
 
-  void Decode(Connection* conn, const unsigned char* data, size_t len,
-              CotsFleet::ThreadHandle* handle) {
-    size_t pos = 0;
-    if (conn->partial_len != 0) {
-      while (conn->partial_len < 8 && pos < len) {
-        conn->partial[conn->partial_len++] = data[pos++];
-      }
-      if (conn->partial_len < 8) return;
-      conn->pending.push_back(DecodeLE64(conn->partial));
-      conn->partial_len = 0;
-      if (conn->pending.size() >= kDispatchBatch) FlushPending(conn, handle);
-    }
-    while (len - pos >= 8) {
-      conn->pending.push_back(DecodeLE64(data + pos));
-      pos += 8;
-      if (conn->pending.size() >= kDispatchBatch) FlushPending(conn, handle);
-    }
-    while (pos < len) conn->partial[conn->partial_len++] = data[pos++];
-    if (conn->pending.size() >= kDispatchBatch) FlushPending(conn, handle);
-  }
-
-  // Effective shedding decision, consulted at flush granularity. The
-  // forced window (test/ops hook) overrides the controller but routes its
-  // transitions THROUGH ForceState so gauges, trace events, and the
-  // transition counter tell the truth either way.
+  // Effective shedding decision, consulted per batch. The forced window
+  // (test/ops hook) overrides the controller but routes its transitions
+  // THROUGH ForceState so gauges, trace events, and the transition counter
+  // tell the truth either way.
   bool Shedding() {
     if (config_.force_shed_at != 0) {
       const uint64_t total = ingested_ + shed_;
@@ -841,61 +662,58 @@ class IngestServer {
 
   // Feeds the controller one sample: worst shard backlog (elements
   // waiting in a shard inbox) and the fleet's deadline-miss count. Runs on
-  // the 50ms tick — never on the per-offer path.
+  // the tick — never on the per-offer path.
   void SampleAdmission() {
     if (forced_shed_) return;  // the forced window owns the state
     cots::AdmissionSignals sig;
     for (size_t i = 0; i < fleet_->num_shards(); ++i) {
-      sig.queue_depth = std::max(sig.queue_depth, fleet_->shard(i).queue_depth());
+      sig.queue_depth =
+          std::max(sig.queue_depth, fleet_->shard(i).queue_depth());
     }
     sig.overloaded_offers = fleet_->deadline_misses();
     admission_.Update(sig);
     COTS_GAUGE_SET("overload.shed_weight", fleet_->shed_weight());
   }
 
-  // Rate-limited "busy <retry-after-ms>" reply on a shedding connection.
-  void SendBusy(Connection* conn) {
-    const auto now = SteadyClock::now();
-    if (now < conn->next_busy) return;
-    const uint32_t retry = admission_.retry_after_ms();
-    conn->next_busy = now + std::chrono::milliseconds(retry);
-    char line[32];
-    const int n = std::snprintf(line, sizeof(line), "busy %u\n", retry);
-    if (n > 0) AppendReply(conn, line, static_cast<size_t>(n));
-  }
-
-  void FlushPending(Connection* conn, CotsFleet::ThreadHandle* handle) {
-    if (conn->pending.empty()) return;
-    const size_t size = conn->pending.size();
+  void Dispatch(Connection* c, const ElementId* keys, size_t n,
+                CotsFleet::ThreadHandle* handle) {
     if (Shedding()) {
       // Degrade, don't lie: the keys are absorbed into the error bounds
       // of their home shards (never counted, never silently dropped) and
       // the client is told to back off.
-      if (fleet_->Shed(conn->pending.data(), size)) {
-        shed_ += size;
-        SendBusy(conn);
+      if (fleet_->Shed(keys, n)) {
+        shed_ += n;
+        SendBusy(c);
       }  // refused: the fleet is stopping; OfferBatch would refuse too
-      conn->pending.clear();
       return;
     }
-    const OfferOutcome outcome =
-        handle->OfferBatchBounded(conn->pending.data(), size);
+    const OfferOutcome outcome = handle->OfferBatchBounded(keys, n);
     if (outcome != OfferOutcome::kRefused) {
-      ingested_ += size;
+      ingested_ += n;
       if (outcome == OfferOutcome::kOverloaded) ++overloaded_batches_;
     }  // refused whole: the fleet is stopping, nothing was half-counted
-    conn->pending.clear();
   }
 
-  ServerConfig config_;
-  CotsFleet* fleet_;
-  cots::AdmissionController admission_;
+  // Rate-limited "busy <retry-after-ms>" reply on a shedding connection.
+  void SendBusy(Connection* c) {
+    const auto now = SteadyClock::now();
+    if (now < c->next_busy) return;
+    constexpr uint32_t kRetry = AdmissionController::kRetryAfterMs;
+    c->next_busy = now + milliseconds(kRetry);
+    c->out += "busy " + std::to_string(kRetry) + "\n";
+    Flush(c);
+  }
+
+  const ServerConfig config_;
+  CotsFleet* const fleet_;
+  AdmissionController admission_;
   int listen_fd_ = -1;
   int stats_listen_fd_ = -1;
   int epoll_fd_ = -1;
   uint16_t stats_port_ = 0;
-  std::unordered_map<int, Connection> connections_;
-  std::unordered_map<int, StatsConn> stats_conns_;
+  std::unordered_map<int, Connection> conns_;
+  // Ingest read buffer: room for a split word's bytes plus one read.
+  std::vector<ElementId> keys_ = std::vector<ElementId>(kReadBytes / 8 + 1);
   std::vector<cots::GaugeId> shard_gauges_;
   bool forced_shed_ = false;
   uint64_t ingested_ = 0;
@@ -909,169 +727,234 @@ class IngestServer {
   uint64_t last_shed_ = 0;
 };
 
-// Selftest stats probe: issues `command` against the stats port the way a
-// scraper would and returns the response body (empty on any failure).
-std::string QueryStatsPort(uint16_t port, const char* command) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
+// The fleet every mode serves; nullptr (after a message) if the flags
+// give invalid options.
+std::unique_ptr<CotsFleet> MakeFleet(const ServerConfig& config,
+                                     const char* who) {
+  cots::CotsFleetOptions opt;
+  opt.num_shards = config.shards;
+  opt.engine.capacity = config.capacity;
+  opt.view_refresh_interval = config.view_refresh;
+  if (!opt.Validate().ok()) {
+    std::fprintf(stderr, "%s: invalid fleet options\n", who);
+    return nullptr;
   }
-  std::string req = command;
-  req.push_back('\n');
-  if (::write(fd, req.data(), req.size()) !=
-      static_cast<ssize_t>(req.size())) {
-    ::close(fd);
-    return "";
-  }
-  std::string body;
-  char buf[16384];
-  for (;;) {
-    const ssize_t r = ::read(fd, buf, sizeof(buf));
-    if (r <= 0) break;
-    body.append(buf, static_cast<size_t>(r));
-  }
-  ::close(fd);
-  return body;
+  return std::make_unique<CotsFleet>(opt);
 }
 
-// Selftest client: connects to the loopback port and streams zipf-drawn
-// keys until the deadline, returning how many elements it wrote in full.
-uint64_t RunClient(uint16_t port, int seconds, uint64_t seed) {
+// Writes the flight-recorder dump to `path` (nothing to do if empty).
+bool WriteTrace(const std::string& path, const char* who) {
+  if (path.empty()) return true;
+  const std::string trace = cots::TraceRegistry::Global().DrainJson();
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr &&
+            std::fwrite(trace.data(), 1, trace.size(), f) == trace.size();
+  if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
+    std::fprintf(stderr, "%s: cannot write %s\n", who, path.c_str());
+    return false;
+  }
+  std::printf("%s: wrote trace (%zu bytes) to %s\n", who, trace.size(),
+              path.c_str());
+  return true;
+}
+
+// Selftest client socket: blocking, connected to the loopback `port`, with
+// SO_SNDBUF set first if `sndbuf` is nonzero. -1 on failure.
+int ConnectLoopback(uint16_t port, int sndbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return 0;
+  if (fd < 0) return -1;
+  if (sndbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return 0;
+    return -1;
   }
+  return fd;
+}
+
+bool WriteAll(int fd, const void* data, size_t len) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  while (len > 0) {
+    const ssize_t w = ::write(fd, p, len);
+    if (w <= 0) return false;
+    p += w;
+    len -= static_cast<size_t>(w);
+  }
+  return true;
+}
+
+// Sends `request` to the stats port, half-closing after it if asked, and
+// reads the reply until the server closes the connection. False if the
+// exchange failed or the server kept the connection open for 5 s.
+bool StatsRoundTrip(uint16_t port, const std::string& request,
+                    std::string* reply, bool half_close = false) {
+  reply->clear();
+  const int fd = ConnectLoopback(port);
+  if (fd < 0) return false;
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  bool ok = WriteAll(fd, request.data(), request.size());
+  if (ok && half_close) ::shutdown(fd, SHUT_WR);
+  char buf[16384];
+  ssize_t r = 0;
+  while (ok && (r = ::read(fd, buf, sizeof(buf))) > 0) {
+    reply->append(buf, static_cast<size_t>(r));
+  }
+  ok = ok && (r == 0 || errno == ECONNRESET);
+  ::close(fd);
+  return ok;
+}
+
+bool IsStatsDoc(const std::string& body) {
+  return !body.empty() && body.front() == '{' &&
+         body.find("\"overload\"") != std::string::npos;
+}
+
+// Prints `what` as a failure of selftest `name` unless `ok`; returns `ok`.
+bool Expect(bool ok, const char* name, const char* what) {
+  if (!ok) std::fprintf(stderr, "%s FAIL: %s\n", name, what);
+  return ok;
+}
+
+// The selftest harness: builds the fleet and server, runs the event loop
+// on its own thread while `client(server, port)` drives loopback sockets,
+// then drains the loop, stops the fleet, writes --trace-out and passes
+// iff `check(server, fleet)` does. Returns the exit code.
+template <typename Client, typename Check>
+int RunHarness(const char* name, ServerConfig config, Client client,
+               Check check) {
+  config.report_ms = 0;
+  const std::unique_ptr<CotsFleet> fleet = MakeFleet(config, name);
+  if (fleet == nullptr) return 1;
+  IngestServer server(config, fleet.get());
+  const uint16_t port = server.Start();
+  if (port == 0) {
+    std::fprintf(stderr, "%s: cannot bind loopback socket\n", name);
+    return 1;
+  }
+  std::printf("%s: 127.0.0.1:%u, %zu shard(s), stats on 127.0.0.1:%u\n",
+              name, port, fleet->num_shards(), server.stats_port());
+  std::atomic<bool> done{false};
+  std::thread loop([&] { server.Run(&done); });
+  client(server, port);
+  done.store(true);
+  loop.join();
+  fleet->Stop();
+  if (!WriteTrace(config.trace_out, name) || !check(server, *fleet)) {
+    return 1;
+  }
+  std::printf("%s PASS\n", name);
+  return 0;
+}
+
+// Selftest client: writes one pre-encoded 4096-key buffer back-to-back
+// until the deadline, so its socket never drains. Returns the keys it
+// wrote in full.
+uint64_t RunClient(uint16_t port, int seconds, uint64_t seed) {
+  const int fd = ConnectLoopback(port);
+  if (fd < 0) return 0;
+  constexpr size_t kKeys = 4096;
   cots::Xoshiro256 rng(seed);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
-  std::vector<unsigned char> wire(4096 * 8);
+  std::vector<unsigned char> wire(kKeys * 8);
+  for (size_t i = 0; i < kKeys; ++i) {
+    // Skewed synthetic workload: a few hot keys over a long tail.
+    const bool hot = rng.NextBounded(10) < 6;
+    EncodeLE64(hot ? 1 + rng.NextBounded(16) : 1000 + rng.NextBounded(100000),
+               wire.data() + i * 8);
+  }
+  const auto deadline = SteadyClock::now() + std::chrono::seconds(seconds);
   uint64_t sent = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    const size_t burst = 1024 + rng.NextBounded(3072);
-    for (size_t i = 0; i < burst; ++i) {
-      // Skewed synthetic workload: a few hot keys over a long tail.
-      const bool hot = rng.NextBounded(10) < 6;
-      const uint64_t key =
-          hot ? 1 + rng.NextBounded(16) : 1000 + rng.NextBounded(100000);
-      EncodeLE64(key, wire.data() + i * 8);
-    }
-    size_t off = 0;
-    const size_t want = burst * 8;
-    bool ok = true;
-    while (off < want) {
-      const ssize_t w = ::write(fd, wire.data() + off, want - off);
-      if (w <= 0) {
-        ok = false;
-        break;
-      }
-      off += static_cast<size_t>(w);
-    }
-    if (!ok) break;
-    sent += burst;
+  while (SteadyClock::now() < deadline &&
+         WriteAll(fd, wire.data(), wire.size())) {
+    sent += kKeys;
   }
   ::close(fd);
   return sent;
 }
 
+// Conservation and fairness drill: kSelftestClients saturating clients
+// while kProbes stats probes run back-to-back from halfway through. The
+// probes must all return before any client finishes (a saturating
+// connection must not hold the loop), and every key written in full must
+// be counted.
 int RunSelftest(const ServerConfig& config) {
-  CotsFleetOptions opt;
-  opt.num_shards = config.shards;
-  opt.engine.capacity = config.capacity;
-  opt.view_refresh_interval = config.view_refresh;
-  if (!opt.Validate().ok()) {
-    std::fprintf(stderr, "selftest: invalid fleet options\n");
-    return 1;
-  }
-  CotsFleet fleet(opt);
-  IngestServer server(config, &fleet);
-  const uint16_t port = server.Start();
-  if (port == 0) {
-    std::fprintf(stderr, "selftest: cannot bind loopback socket\n");
-    return 1;
-  }
-  std::printf("selftest: %d client(s) -> 127.0.0.1:%u, %d second(s), "
-              "%zu shard(s), stats on 127.0.0.1:%u\n",
-              config.clients, port, config.seconds, fleet.num_shards(),
-              server.stats_port());
-
-  std::atomic<bool> done{false};
-  std::thread server_thread([&] { server.Run(&done); });
-
-  std::vector<std::thread> clients;
-  std::atomic<uint64_t> total_sent{0};
-  for (int c = 0; c < config.clients; ++c) {
-    clients.emplace_back([&, c] {
-      total_sent.fetch_add(
-          RunClient(port, config.seconds, 0x5eed + 31 * c));
-    });
-  }
-  // Probe the stats endpoint mid-ingest, the way a live scraper would:
-  // the snapshot must parse as an object and carry the gauges section.
-  std::atomic<bool> stats_ok{false};
-  std::thread prober([&] {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(500 * config.seconds));
-    const std::string body = QueryStatsPort(server.stats_port(), "stats");
-    stats_ok.store(!body.empty() && body.front() == '{' &&
-                   body.find("\"gauges\"") != std::string::npos &&
-                   body.find("\"overload\"") != std::string::npos &&
-                   body.find("\"stream_length\"") != std::string::npos);
-  });
-  for (std::thread& t : clients) t.join();
-  prober.join();
-  done.store(true);
-  server_thread.join();
-  server.Close();
-  fleet.Stop();
-
-  if (!config.trace_out.empty()) {
-    const std::string trace = cots::TraceRegistry::Global().DrainJson();
-    if (!WriteFile(config.trace_out, trace)) {
-      std::fprintf(stderr, "selftest FAIL: cannot write %s\n",
-                   config.trace_out.c_str());
-      return 1;
+  constexpr int kProbes = 5;
+  std::atomic<uint64_t> sent{0};
+  bool stats_ok = false;
+  bool probe_in_time = false;
+  double probe_ms = 0.0;
+  auto client = [&](const IngestServer& server, uint16_t port) {
+    std::vector<SteadyClock::time_point> finished(kSelftestClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kSelftestClients; ++c) {
+      clients.emplace_back([&, c] {
+        sent += RunClient(port, config.seconds, 0x5eed + 31 * c);
+        finished[c] = SteadyClock::now();
+      });
     }
-    std::printf("selftest: wrote trace (%zu bytes) to %s\n", trace.size(),
-                config.trace_out.c_str());
-  }
+    // From the midpoint, poll back-to-back the way a live scraper would.
+    std::this_thread::sleep_for(milliseconds(500 * config.seconds));
+    stats_ok = true;
+    for (int i = 0; i < kProbes; ++i) {
+      const auto asked = SteadyClock::now();
+      std::string body;
+      stats_ok &= StatsRoundTrip(server.stats_port(), "stats\n", &body) &&
+                  IsStatsDoc(body) &&
+                  body.find("\"gauges\"") != std::string::npos &&
+                  body.find("\"stream_length\"") != std::string::npos;
+      const std::chrono::duration<double, std::milli> took =
+          SteadyClock::now() - asked;
+      probe_ms = std::max(probe_ms, took.count());
+    }
+    const auto probed = SteadyClock::now();
+    for (std::thread& t : clients) t.join();
+    probe_in_time =
+        probed < *std::min_element(finished.begin(), finished.end());
+  };
+  auto check = [&](const IngestServer& server, const CotsFleet& fleet) {
+    server.PrintTopK();
+    const uint64_t counted = fleet.stream_length();
+    std::printf("selftest: %d clients for %d s sent %llu, counted %llu, "
+                "shed %llu; slowest mid-ingest stats probe %.1f ms\n",
+                kSelftestClients, config.seconds,
+                static_cast<unsigned long long>(sent.load()),
+                static_cast<unsigned long long>(counted),
+                static_cast<unsigned long long>(server.shed()), probe_ms);
+    // Conservation: the loop drained every connection before the fleet
+    // stopped, so every key written in full was counted. A healthy
+    // loopback run never trips the admission controller, so nothing is
+    // shed (the shed path has its own selftest).
+    bool ok = Expect(stats_ok, "selftest", "stats endpoint probe failed");
+    ok &= Expect(probe_in_time, "selftest",
+                 "stats probes returned only after a client finished");
+    ok &= Expect(sent.load() > 0, "selftest", "clients sent nothing");
+    ok &= Expect(counted == sent.load() && server.shed() == 0, "selftest",
+                 "conservation violated");
+    return ok;
+  };
+  return RunHarness("selftest", config, client, check);
+}
 
-  server.PrintTopK();
-  if (!stats_ok.load()) {
-    std::fprintf(stderr, "selftest FAIL: stats endpoint probe failed\n");
-    return 1;
+// Parses the "busy <ms>" lines complete in `rx`: counts them and keeps the
+// latest retry hint. True if there was one.
+bool TakeBusy(std::string* rx, uint64_t* busy_seen, long long* retry_ms) {
+  bool seen = false;
+  size_t nl;
+  while ((nl = rx->find('\n')) != std::string::npos) {
+    if (rx->rfind("busy ", 0) == 0) {
+      ++*busy_seen;
+      *retry_ms = std::strtoll(rx->c_str() + 5, nullptr, 10);
+      seen = true;
+    }
+    rx->erase(0, nl + 1);
   }
-  const uint64_t sent = total_sent.load();
-  const uint64_t counted = fleet.stream_length();
-  std::printf("selftest: sent %llu, counted %llu, shed %llu\n",
-              static_cast<unsigned long long>(sent),
-              static_cast<unsigned long long>(counted),
-              static_cast<unsigned long long>(server.shed()));
-  if (sent == 0) {
-    std::fprintf(stderr, "selftest FAIL: clients sent nothing\n");
-    return 1;
-  }
-  // Conservation: the server flushed every connection before stopping the
-  // fleet, so every element written in full by a client must be counted.
-  // A healthy loopback selftest must never trip the admission controller,
-  // so shed must stay zero here (the shed path has its own selftest).
-  if (counted != sent || server.shed() != 0) {
-    std::fprintf(stderr, "selftest FAIL: conservation violated\n");
-    return 1;
-  }
-  std::printf("selftest PASS\n");
-  return 0;
+  return seen;
 }
 
 // End-to-end overload drill (the CI "refused offer" e2e): drive a real
@@ -1080,7 +963,6 @@ int RunSelftest(const ServerConfig& config) {
 // endpoint, counted + shed conserves the stream, and every exact count
 // lies inside the shed-widened bounds of the merged view.
 int RunShedSelftest(ServerConfig config) {
-  config.selftest = true;  // reuse the quiet event-loop mode
   // The overload instants fire mid-stream; the default per-thread flight-
   // recorder window would be overwritten by post-recovery dispatch spans
   // before the shutdown dump. Widen it (first trace use is below, so the
@@ -1094,310 +976,165 @@ int RunShedSelftest(ServerConfig config) {
   // client's send progress to the server's consumption — otherwise the
   // whole stream fits in socket buffers and the client finishes before
   // the server ever enters the shed window, let alone replies busy.
-  if (config.ingest_rcvbuf == 0) config.ingest_rcvbuf = 16384;
-  CotsFleetOptions opt;
-  opt.num_shards = config.shards;
-  opt.engine.capacity = config.capacity;
-  opt.view_refresh_interval = config.view_refresh;
-  if (!opt.Validate().ok()) {
-    std::fprintf(stderr, "shed-selftest: invalid fleet options\n");
-    return 1;
-  }
-  CotsFleet fleet(opt);
-  IngestServer server(config, &fleet);
-  const uint16_t port = server.Start();
-  if (port == 0) {
-    std::fprintf(stderr, "shed-selftest: cannot bind loopback socket\n");
-    return 1;
-  }
+  config.ingest_rcvbuf = 16384;
   const uint64_t target = config.force_recover_at + 20000;
-  std::printf("shed-selftest: 127.0.0.1:%u, shed window [%llu, %llu), "
-              "sending %llu keys\n",
-              port,
-              static_cast<unsigned long long>(config.force_shed_at),
-              static_cast<unsigned long long>(config.force_recover_at),
-              static_cast<unsigned long long>(target));
-
-  std::atomic<bool> done{false};
-  std::thread server_thread([&] { server.Run(&done); });
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return 1;
-  int sndbuf = 8192;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::fprintf(stderr, "shed-selftest: cannot connect\n");
-    ::close(fd);
-    done.store(true);
-    server_thread.join();
-    return 1;
-  }
-
-  // Small key universe so the client-side exact tally stays cheap and the
-  // bound check below exercises both monitored and unmonitored keys.
-  cots::Xoshiro256 rng(0x5eed);
   std::unordered_map<uint64_t, uint64_t> exact;
-  std::vector<unsigned char> wire(1024 * 8);
-  std::string rxbuf;
   uint64_t sent = 0;
   uint64_t busy_seen = 0;
   long long last_retry_ms = -1;
   bool stats_showed_shedding = false;
-  while (sent < target) {
-    const size_t burst = 1024;
-    for (size_t i = 0; i < burst; ++i) {
-      const bool hot = rng.NextBounded(10) < 6;
-      const uint64_t key =
-          hot ? 1 + rng.NextBounded(16) : 100 + rng.NextBounded(496);
-      ++exact[key];
-      EncodeLE64(key, wire.data() + i * 8);
-    }
-    size_t off = 0;
-    const size_t want = burst * 8;
-    while (off < want) {
-      const ssize_t w = ::write(fd, wire.data() + off, want - off);
-      if (w <= 0) {
-        std::fprintf(stderr, "shed-selftest: short write\n");
-        ::close(fd);
-        done.store(true);
-        server_thread.join();
-        return 1;
-      }
-      off += static_cast<size_t>(w);
-    }
-    sent += burst;
-    // Drain any busy replies and honor the most recent retry hint.
+  auto client = [&](const IngestServer& server, uint16_t port) {
+    std::printf("shed-selftest: shed window [%llu, %llu), sending %llu keys\n",
+                static_cast<unsigned long long>(config.force_shed_at),
+                static_cast<unsigned long long>(config.force_recover_at),
+                static_cast<unsigned long long>(target));
+    const int fd = ConnectLoopback(port, /*sndbuf=*/8192);
+    if (fd < 0) return;
+    // Small key universe so the client-side exact tally stays cheap and the
+    // bound check exercises both monitored and unmonitored keys.
+    cots::Xoshiro256 rng(0x5eed);
+    constexpr size_t kBurst = 1024;
+    unsigned char wire[kBurst * 8];
+    std::string rx;
     char rbuf[256];
-    ssize_t r;
-    while ((r = ::recv(fd, rbuf, sizeof(rbuf), MSG_DONTWAIT)) > 0) {
-      rxbuf.append(rbuf, static_cast<size_t>(r));
-    }
-    size_t nl;
-    bool saw_busy_now = false;
-    while ((nl = rxbuf.find('\n')) != std::string::npos) {
-      const std::string line = rxbuf.substr(0, nl);
-      rxbuf.erase(0, nl + 1);
-      if (line.rfind("busy ", 0) == 0) {
-        ++busy_seen;
-        saw_busy_now = true;
-        last_retry_ms = std::strtoll(line.c_str() + 5, nullptr, 10);
+    ssize_t r = 0;
+    while (sent < target) {
+      for (size_t i = 0; i < kBurst; ++i) {
+        const bool hot = rng.NextBounded(10) < 6;
+        const uint64_t key =
+            hot ? 1 + rng.NextBounded(16) : 100 + rng.NextBounded(496);
+        ++exact[key];
+        EncodeLE64(key, wire + i * 8);
       }
-    }
-    if (saw_busy_now) {
+      if (!WriteAll(fd, wire, sizeof(wire))) break;
+      sent += kBurst;
+      // Drain any busy replies and honor the most recent retry hint.
+      while ((r = ::recv(fd, rbuf, sizeof(rbuf), MSG_DONTWAIT)) > 0) {
+        rx.append(rbuf, static_cast<size_t>(r));
+      }
+      if (!TakeBusy(&rx, &busy_seen, &last_retry_ms)) continue;
       if (!stats_showed_shedding) {
         // While the client is paused the ingest total is frozen inside
         // the forced window, so the stats endpoint must report shedding.
-        const std::string body =
-            QueryStatsPort(server.stats_port(), "stats");
+        std::string body;
         stats_showed_shedding =
-            body.find("\"overload\"") != std::string::npos &&
-            body.find("\"shedding\"") != std::string::npos;
+            StatsRoundTrip(server.stats_port(), "stats\n", &body) &&
+            IsStatsDoc(body) && body.find("\"shedding\"") != std::string::npos;
       }
-      const long long pause =
-          last_retry_ms > 0 ? (last_retry_ms < 200 ? last_retry_ms : 200) : 1;
-      std::this_thread::sleep_for(std::chrono::milliseconds(pause));
+      std::this_thread::sleep_for(
+          milliseconds(std::clamp(last_retry_ms, 1LL, 200LL)));
     }
-  }
-  // Half-close and drain to EOF instead of a hard close: a close() with
-  // unread busy replies in the receive queue would RST the connection and
-  // destroy in-flight data the server has not consumed yet.
-  ::shutdown(fd, SHUT_WR);
-  {
-    char rbuf[256];
-    ssize_t r;
+    // Half-close and drain to EOF instead of a hard close: a close() with
+    // unread busy replies in the receive queue would RST the connection and
+    // destroy in-flight data the server has not consumed yet.
+    ::shutdown(fd, SHUT_WR);
     while ((r = ::read(fd, rbuf, sizeof(rbuf))) > 0) {
-      rxbuf.append(rbuf, static_cast<size_t>(r));
+      rx.append(rbuf, static_cast<size_t>(r));
     }
-    size_t nl;
-    while ((nl = rxbuf.find('\n')) != std::string::npos) {
-      const std::string line = rxbuf.substr(0, nl);
-      rxbuf.erase(0, nl + 1);
-      if (line.rfind("busy ", 0) == 0) {
-        ++busy_seen;
-        last_retry_ms = std::strtoll(line.c_str() + 5, nullptr, 10);
-      }
-    }
-  }
-  ::close(fd);
-  done.store(true);
-  server_thread.join();
-
-  // Snapshot the merged view before stopping so the bound check sees the
-  // same shed-widened errors a live query would.
-  const cots::CounterSet view = fleet.GlobalView();
-  server.Close();
-  fleet.Stop();
-
-  if (!config.trace_out.empty()) {
-    const std::string trace = cots::TraceRegistry::Global().DrainJson();
-    if (!WriteFile(config.trace_out, trace)) {
-      std::fprintf(stderr, "shed-selftest FAIL: cannot write %s\n",
-                   config.trace_out.c_str());
-      return 1;
-    }
-    std::printf("shed-selftest: wrote trace (%zu bytes) to %s\n",
-                trace.size(), config.trace_out.c_str());
-  }
-
-  const uint64_t counted = fleet.stream_length();
-  const uint64_t shed = server.shed();
-  std::printf("shed-selftest: sent %llu, counted %llu, shed %llu, "
-              "busy replies %llu (last retry-after %lld ms)\n",
-              static_cast<unsigned long long>(sent),
-              static_cast<unsigned long long>(counted),
-              static_cast<unsigned long long>(shed),
-              static_cast<unsigned long long>(busy_seen), last_retry_ms);
-  int failures = 0;
-  if (busy_seen == 0) {
-    std::fprintf(stderr, "shed-selftest FAIL: no busy reply received\n");
-    ++failures;
-  }
-  if (last_retry_ms < 0 && busy_seen > 0) {
-    std::fprintf(stderr, "shed-selftest FAIL: busy reply carried no "
-                         "retry-after hint\n");
-    ++failures;
-  }
-  if (!stats_showed_shedding) {
-    std::fprintf(stderr, "shed-selftest FAIL: stats endpoint never "
-                         "reported the shedding state\n");
-    ++failures;
-  }
-  if (shed == 0) {
-    std::fprintf(stderr, "shed-selftest FAIL: nothing was shed\n");
-    ++failures;
-  }
-  // Shedding must END: the forced window is bounded, so everything past
-  // it (plus everything before it) is counted, not shed.
-  const uint64_t window = config.force_recover_at - config.force_shed_at;
-  if (shed > window) {
-    std::fprintf(stderr, "shed-selftest FAIL: shed %llu exceeds the "
-                         "forced window %llu — recovery never happened\n",
-                 static_cast<unsigned long long>(shed),
-                 static_cast<unsigned long long>(window));
-    ++failures;
-  }
-  // Conservation with shedding: every key written in full was either
-  // counted or shed — nothing vanishes without accounting.
-  if (counted + shed != sent) {
-    std::fprintf(stderr, "shed-selftest FAIL: conservation violated "
-                         "(counted %llu + shed %llu != sent %llu)\n",
-                 static_cast<unsigned long long>(counted),
-                 static_cast<unsigned long long>(shed),
-                 static_cast<unsigned long long>(sent));
-    ++failures;
-  }
-  if (view.shed_weight() != shed) {
-    std::fprintf(stderr, "shed-selftest FAIL: view shed_weight %llu != "
-                         "server shed %llu\n",
-                 static_cast<unsigned long long>(view.shed_weight()),
-                 static_cast<unsigned long long>(shed));
-    ++failures;
-  }
-  // Degrade, don't lie: after folding shed weight into the bounds, every
-  // key's exact count must be inside them.
-  uint64_t bound_checked = 0;
-  for (const auto& [key, truth] : exact) {
-    const auto c = view.Lookup(key);
-    if (c.has_value()) {
-      if (c->count > truth + c->error || truth > c->count + c->error) {
+    TakeBusy(&rx, &busy_seen, &last_retry_ms);
+    ::close(fd);
+  };
+  auto check = [&](const IngestServer& server, const CotsFleet& fleet) {
+    const cots::CounterSet view = fleet.GlobalView();
+    const uint64_t counted = fleet.stream_length();
+    const uint64_t shed = server.shed();
+    std::printf("shed-selftest: sent %llu, counted %llu, shed %llu, "
+                "busy replies %llu (last retry-after %lld ms)\n",
+                static_cast<unsigned long long>(sent),
+                static_cast<unsigned long long>(counted),
+                static_cast<unsigned long long>(shed),
+                static_cast<unsigned long long>(busy_seen), last_retry_ms);
+    const char* name = "shed-selftest";
+    bool ok = Expect(sent >= target, name, "the client could not send");
+    ok &= Expect(busy_seen > 0, name, "no busy reply received");
+    ok &= Expect(stats_showed_shedding, name,
+                 "stats endpoint never reported the shedding state");
+    ok &= Expect(shed > 0, name, "nothing was shed");
+    // Shedding must END: the forced window is bounded, so everything past
+    // it (plus everything before it) is counted, not shed.
+    ok &= Expect(shed <= config.force_recover_at - config.force_shed_at, name,
+                 "shed exceeds the forced window: recovery never happened");
+    // Conservation with shedding: every key written in full was either
+    // counted or shed — nothing vanishes without accounting.
+    ok &= Expect(counted + shed == sent, name,
+                 "conservation violated (counted + shed != sent)");
+    ok &= Expect(view.shed_weight() == shed, name,
+                 "view shed_weight differs from the server's shed count");
+    // Degrade, don't lie: after folding shed weight into the bounds, every
+    // key's exact count must be inside them.
+    for (const auto& [key, truth] : exact) {
+      const auto c = view.Lookup(key);
+      const bool inside = c.has_value() ? c->count <= truth + c->error &&
+                                              truth <= c->count + c->error
+                                        : truth <= view.min_freq();
+      if (!inside) {
         std::fprintf(stderr, "shed-selftest FAIL: key %llu exact %llu "
-                             "outside [%llu - %llu, %llu + %llu]\n",
+                             "outside its shed-widened bound\n",
                      static_cast<unsigned long long>(key),
-                     static_cast<unsigned long long>(truth),
-                     static_cast<unsigned long long>(c->count),
-                     static_cast<unsigned long long>(c->error),
-                     static_cast<unsigned long long>(c->count),
-                     static_cast<unsigned long long>(c->error));
-        ++failures;
+                     static_cast<unsigned long long>(truth));
+        ok = false;
       }
-    } else if (truth > view.min_freq()) {
-      std::fprintf(stderr, "shed-selftest FAIL: unmonitored key %llu "
-                           "exact %llu exceeds min_freq %llu\n",
-                   static_cast<unsigned long long>(key),
-                   static_cast<unsigned long long>(truth),
-                   static_cast<unsigned long long>(view.min_freq()));
-      ++failures;
     }
-    ++bound_checked;
-  }
-  std::printf("shed-selftest: %llu keys bound-checked against the "
-              "shed-widened view\n",
-              static_cast<unsigned long long>(bound_checked));
-  if (failures != 0) return 1;
-  std::printf("shed-selftest PASS\n");
-  return 0;
+    std::printf("shed-selftest: %zu keys bound-checked against the "
+                "shed-widened view\n",
+                exact.size());
+    return ok;
+  };
+  return RunHarness("shed-selftest", config, client, check);
 }
 
-// Idle-connection drill: keys written on a connection that then stays
-// open must be counted promptly, not when a later read fills the batch.
-int RunIdleSelftest(ServerConfig config) {
-  config.selftest = true;  // quiet event loop
-  CotsFleetOptions opt;
-  opt.num_shards = config.shards;
-  opt.engine.capacity = config.capacity;
-  opt.view_refresh_interval = config.view_refresh;
-  if (!opt.Validate().ok()) {
-    std::fprintf(stderr, "idle-selftest: invalid fleet options\n");
-    return 1;
-  }
-  CotsFleet fleet(opt);
-  IngestServer server(config, &fleet);
-  const uint16_t port = server.Start();
-  if (port == 0) {
-    std::fprintf(stderr, "idle-selftest: cannot bind loopback socket\n");
-    return 1;
-  }
-  std::atomic<bool> done{false};
-  std::thread server_thread([&] { server.Run(&done); });
-
+// Idle-connection and stats-protocol drill: keys written on a connection
+// that then stays open must be counted promptly, not when a later read
+// fills the batch; then each stats command form gets its documented reply.
+int RunIdleSelftest(const ServerConfig& config) {
   constexpr uint64_t kKeys = 100;
   uint64_t counted = 0;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (fd >= 0 &&
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+  bool protocol_ok = false;
+  auto client = [&](const IngestServer& server, uint16_t port) {
+    const int fd = ConnectLoopback(port);
+    if (fd < 0) return;
     unsigned char wire[kKeys * 8];
     for (uint64_t i = 0; i < kKeys; ++i) EncodeLE64(1 + i % 7, wire + i * 8);
     // Split mid-word, so the partial-word path runs too.
     constexpr size_t kSplit = 8 * 49 + 3;
-    const bool written =
-        ::write(fd, wire, kSplit) == static_cast<ssize_t>(kSplit) &&
-        ::write(fd, wire + kSplit, sizeof(wire) - kSplit) ==
-            static_cast<ssize_t>(sizeof(wire) - kSplit);
+    const bool written = WriteAll(fd, wire, kSplit) &&
+                         WriteAll(fd, wire + kSplit, sizeof(wire) - kSplit);
+    const uint16_t stats = server.stats_port();
+    std::string body;
     const auto deadline = SteadyClock::now() + std::chrono::seconds(1);
     while (written && counted != kKeys && SteadyClock::now() < deadline) {
-      const std::string body = QueryStatsPort(server.stats_port(), "stats");
+      StatsRoundTrip(stats, "stats\n", &body);
       const size_t at = body.find("\"stream_length\":");
       if (at != std::string::npos) {
         counted = std::strtoull(body.c_str() + at + 16, nullptr, 10);
       }
-      if (counted != kKeys) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
+      if (counted != kKeys) std::this_thread::sleep_for(milliseconds(10));
     }
-  }
-  // The connection stays open until the verdict is in.
-  if (fd >= 0) ::close(fd);
-  done.store(true);
-  server_thread.join();
-  server.Close();
-  fleet.Stop();
-  std::printf("idle-selftest: %llu of %llu keys counted within 1 s\n",
-              static_cast<unsigned long long>(counted),
-              static_cast<unsigned long long>(kKeys));
-  if (counted != kKeys) {
-    std::fprintf(stderr, "idle-selftest FAIL\n");
-    return 1;
-  }
-  std::printf("idle-selftest PASS\n");
-  return 0;
+    const char* name = "idle-selftest";
+    protocol_ok = Expect(StatsRoundTrip(stats, "stats\n", &body, true) &&
+                             IsStatsDoc(body),
+                         name, "a half-closed \"stats\" got no stats reply");
+    protocol_ok &= Expect(StatsRoundTrip(stats, "trace\n", &body) &&
+                              body.rfind("{\"traceEvents\":", 0) == 0,
+                          name, "\"trace\" got no trace document");
+    protocol_ok &= Expect(
+        StatsRoundTrip(stats, "bogus\n", &body) && IsStatsDoc(body), name,
+        "an unknown command got no stats reply");
+    protocol_ok &= Expect(
+        StatsRoundTrip(stats, std::string(5000, 'x'), &body) && body.empty(),
+        name, "5000 bytes without a newline were not closed unanswered");
+    // The ingest connection stays open until the verdict is in.
+    ::close(fd);
+  };
+  auto check = [&](const IngestServer&, const CotsFleet&) {
+    std::printf("idle-selftest: %llu of %llu keys counted within 1 s\n",
+                static_cast<unsigned long long>(counted),
+                static_cast<unsigned long long>(kKeys));
+    return Expect(counted == kKeys, "idle-selftest",
+                  "keys on an open connection were not counted") &&
+           protocol_ok;
+  };
+  return RunHarness("idle-selftest", config, client, check);
 }
 
 }  // namespace
@@ -1405,23 +1142,22 @@ int RunIdleSelftest(ServerConfig config) {
 int main(int argc, char** argv) {
   const ServerConfig config = ParseArgs(argc, argv);
   std::signal(SIGPIPE, SIG_IGN);
-  if (config.selftest) return RunSelftest(config);
-  if (config.shed_selftest) return RunShedSelftest(config);
-  if (config.idle_selftest) return RunIdleSelftest(config);
-
+  switch (config.mode) {
+    case Mode::kSelftest:
+      return RunSelftest(config);
+    case Mode::kShedSelftest:
+      return RunShedSelftest(config);
+    case Mode::kIdleSelftest:
+      return RunIdleSelftest(config);
+    case Mode::kServe:
+      break;
+  }
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
 
-  CotsFleetOptions opt;
-  opt.num_shards = config.shards;
-  opt.engine.capacity = config.capacity;
-  opt.view_refresh_interval = config.view_refresh;
-  if (!opt.Validate().ok()) {
-    std::fprintf(stderr, "ingest_server: invalid fleet options\n");
-    return 1;
-  }
-  CotsFleet fleet(opt);
-  IngestServer server(config, &fleet);
+  const std::unique_ptr<CotsFleet> fleet = MakeFleet(config, "ingest_server");
+  if (fleet == nullptr) return 1;
+  IngestServer server(config, fleet.get());
   const uint16_t port = server.Start();
   if (port == 0) {
     std::fprintf(stderr, "ingest_server: cannot bind 127.0.0.1:%u\n",
@@ -1430,23 +1166,17 @@ int main(int argc, char** argv) {
   }
   std::printf("ingest_server: listening on 127.0.0.1:%u (%zu shard(s), "
               "capacity %zu); protocol: raw little-endian uint64 keys\n",
-              port, fleet.num_shards(), config.capacity);
+              port, fleet->num_shards(), config.capacity);
   std::printf("ingest_server: stats on 127.0.0.1:%u "
               "(send \"stats\\n\" or \"trace\\n\")\n",
               server.stats_port());
   server.Run(nullptr);
-  server.Close();
-  fleet.Stop();
+  fleet->Stop();
   std::printf("ingest_server: stopped after %llu elements (%llu shed)\n",
               static_cast<unsigned long long>(server.ingested()),
               static_cast<unsigned long long>(server.shed()));
   server.PrintTopK();
-  if (!config.trace_out.empty() &&
-      WriteFile(config.trace_out,
-                cots::TraceRegistry::Global().DrainJson())) {
-    std::printf("ingest_server: wrote trace to %s\n",
-                config.trace_out.c_str());
-  }
+  WriteTrace(config.trace_out, "ingest_server");
   return 0;
 }
 

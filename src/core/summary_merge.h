@@ -63,7 +63,7 @@ class CounterSet : public FrequencySummary {
   /// `shed_weight` — a shed occurrence of a monitored key is at most one
   /// missing increment, so [count - error', count + error'] stays a valid
   /// two-sided bound. `min_freq` must ALREADY include the shed weight
-  /// (engine MinFreq() folds it); it is not inflated again here.
+  /// (the fleet's Shard::MinFreq() folds it); it is not inflated again.
   static CounterSet FromShedSummary(const FrequencySummary& summary,
                                     uint64_t min_freq, uint64_t shed_weight);
 
@@ -101,7 +101,7 @@ CounterSet CombineCounterSets(const CounterSet& a, const CounterSet& b,
 /// gives each part's cumulative shed weight (same indexing as parts); each
 /// part is snapshotted via CounterSet::FromShedSummary so the merged
 /// bounds stay sound under load shedding. min_freqs must already include
-/// the shed weights (engine MinFreq() folds them).
+/// the shed weights (the fleet's Shard::MinFreq() folds them).
 CounterSet MergeSerial(const std::vector<const FrequencySummary*>& parts,
                        const std::vector<uint64_t>& min_freqs, size_t capacity,
                        MergeMode mode = MergeMode::kOverlapping,

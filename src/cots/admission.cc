@@ -19,24 +19,19 @@ const char* AdmissionStateName(AdmissionState state) {
   return "unknown";
 }
 
-AdmissionController::AdmissionController(const AdmissionOptions& options)
-    : options_(options) {
+AdmissionController::AdmissionController() {
   COTS_GAUGE_SET("overload.state",
                  static_cast<uint64_t>(AdmissionState::kHealthy));
 }
 
-uint64_t AdmissionController::samples_in(AdmissionState state) const {
-  return samples_[static_cast<size_t>(state)].load(std::memory_order_relaxed);
-}
-
 AdmissionState AdmissionController::Severity(const AdmissionSignals& signals,
                                              uint64_t overloaded_delta) const {
-  if (signals.queue_depth >= options_.shedding_queue_depth ||
-      overloaded_delta >= options_.shedding_overloaded_offers) {
+  if (signals.queue_depth >= kSheddingQueueDepth ||
+      overloaded_delta >= kSheddingOverloadedOffers) {
     return AdmissionState::kShedding;
   }
-  if (signals.queue_depth >= options_.backpressure_queue_depth ||
-      overloaded_delta >= options_.backpressure_overloaded_offers) {
+  if (signals.queue_depth >= kBackpressureQueueDepth ||
+      overloaded_delta >= kBackpressureOverloadedOffers) {
     return AdmissionState::kBackpressure;
   }
   return AdmissionState::kHealthy;
@@ -67,10 +62,10 @@ AdmissionState AdmissionController::Update(const AdmissionSignals& signals) {
     // (half of each), so hovering just under an enter threshold does not
     // count as recovery.
     const bool calm =
-        signals.queue_depth < options_.backpressure_queue_depth / 2 &&
+        signals.queue_depth < kBackpressureQueueDepth / 2 &&
         overloaded_delta == 0;
     if (calm) {
-      if (++calm_streak_ >= options_.calm_samples_to_step_down) {
+      if (++calm_streak_ >= kCalmSamplesToStepDown) {
         next = static_cast<AdmissionState>(static_cast<uint8_t>(current) - 1);
         calm_streak_ = 0;
       }
@@ -89,7 +84,6 @@ AdmissionState AdmissionController::Update(const AdmissionSignals& signals) {
                            static_cast<uint64_t>(next));
   }
   COTS_GAUGE_SET("overload.state", static_cast<uint64_t>(next));
-  samples_[static_cast<size_t>(next)].fetch_add(1, std::memory_order_relaxed);
   return next;
 }
 

@@ -17,10 +17,10 @@
 //
 // driven by sampled signals: the queue-depth watermark and the rate of
 // kOverloaded offer outcomes. Escalation is immediate (one bad sample can
-// jump Healthy→Shedding); de-escalation requires `calm_samples_to_step_down`
+// jump Healthy→Shedding); de-escalation requires kCalmSamplesToStepDown
 // consecutive calm samples per step, so the state does not flap at the
 // threshold. Update() is meant to run on a sampling cadence (the ingest
-// server uses its report tick) — never on the per-offer hot path. state()
+// server uses its 50 ms tick) — never on the per-offer hot path. state()
 // is a single relaxed atomic load, safe to consult from any thread.
 
 #ifndef COTS_COTS_ADMISSION_H_
@@ -60,30 +60,6 @@ enum class AdmissionState : uint8_t {
 /// Returns "healthy" / "backpressure" / "shedding".
 const char* AdmissionStateName(AdmissionState state);
 
-struct AdmissionOptions {
-  /// Queue-depth (hot-spot backlog) thresholds. Crossing the first enters
-  /// Backpressure, the second Shedding. Defaults are multiples of the
-  /// default dispatch batch (512): pressure means "several full batches
-  /// behind", shedding means "tens of batches behind".
-  size_t backpressure_queue_depth = 8 * 512;
-  size_t shedding_queue_depth = 32 * 512;
-
-  /// kOverloaded offer outcomes per sample interval. Any overloaded offer
-  /// is already a missed deadline, so the default escalates to
-  /// Backpressure on the first one and to Shedding on a steady stream.
-  uint64_t backpressure_overloaded_offers = 1;
-  uint64_t shedding_overloaded_offers = 8;
-
-  /// Consecutive calm samples (queue depth below half its Backpressure
-  /// threshold and no overloaded offers) required to step DOWN one state.
-  /// Escalation never waits.
-  int calm_samples_to_step_down = 3;
-
-  /// Retry hint handed to shed clients (the ingest server's
-  /// "busy <retry-after-ms>" wire reply).
-  uint32_t retry_after_ms = 50;
-};
-
 /// One sample of the overload signals. `queue_depth` is a live reading;
 /// `overloaded_offers` is a cumulative count — Update() works with deltas
 /// between consecutive samples.
@@ -94,7 +70,29 @@ struct AdmissionSignals {
 
 class AdmissionController {
  public:
-  explicit AdmissionController(const AdmissionOptions& options = {});
+  /// Queue-depth (hot-spot backlog) thresholds. Crossing the first enters
+  /// Backpressure, the second Shedding. Both are multiples of the dispatch
+  /// batch (CotsFleet::kBatchDepth, 512): pressure means "several full
+  /// batches behind", shedding means "tens of batches behind".
+  static constexpr size_t kBackpressureQueueDepth = 8 * 512;
+  static constexpr size_t kSheddingQueueDepth = 32 * 512;
+
+  /// kOverloaded offer outcomes per sample interval. Any overloaded offer
+  /// is already a missed deadline, so the first one escalates to
+  /// Backpressure and a steady stream to Shedding.
+  static constexpr uint64_t kBackpressureOverloadedOffers = 1;
+  static constexpr uint64_t kSheddingOverloadedOffers = 8;
+
+  /// Consecutive calm samples (queue depth below half its Backpressure
+  /// threshold and no overloaded offers) required to step DOWN one state.
+  /// Escalation never waits.
+  static constexpr int kCalmSamplesToStepDown = 3;
+
+  /// Retry hint handed to shed clients (the ingest server's
+  /// "busy <retry-after-ms>" wire reply).
+  static constexpr uint32_t kRetryAfterMs = 50;
+
+  AdmissionController();
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -117,28 +115,18 @@ class AdmissionController {
 
   bool ShouldShed() const { return state() == AdmissionState::kShedding; }
 
-  uint32_t retry_after_ms() const { return options_.retry_after_ms; }
-
   /// Total state transitions observed (for stats/tests).
   uint64_t transitions() const {
     return transitions_.load(std::memory_order_relaxed);
   }
-
-  /// Samples observed while in `state` (incremented per Update() call,
-  /// counting the state the sample LEFT the controller in).
-  uint64_t samples_in(AdmissionState state) const;
-
-  const AdmissionOptions& options() const { return options_; }
 
  private:
   // Severity the raw signals map to, ignoring hysteresis.
   AdmissionState Severity(const AdmissionSignals& signals,
                           uint64_t overloaded_delta) const;
 
-  AdmissionOptions options_;
   std::atomic<AdmissionState> state_{AdmissionState::kHealthy};
   std::atomic<uint64_t> transitions_{0};
-  std::atomic<uint64_t> samples_[3] = {};
 
   // Sampler-thread-only bookkeeping (Update is single-caller).
   uint64_t last_overloaded_ = 0;

@@ -1,5 +1,5 @@
 // AdmissionController state machine (DESIGN.md §13.2), driven through
-// Update() with the default thresholds: baseline on the first sample,
+// Update() with its fixed thresholds: baseline on the first sample,
 // immediate escalation, and the calm-streak hysteresis on the way down.
 
 #include "cots/admission.h"
@@ -9,12 +9,10 @@
 namespace cots {
 namespace {
 
-// Default thresholds, named for readability.
-const AdmissionOptions kDefaults;
-const size_t kPressureDepth = kDefaults.backpressure_queue_depth;
+constexpr size_t kPressureDepth = AdmissionController::kBackpressureQueueDepth;
 
-// A sample that is calm under the defaults: queue depth below half the
-// Backpressure threshold and no new overloaded offers.
+// A calm sample: queue depth below half the Backpressure threshold and no
+// new overloaded offers.
 AdmissionSignals Calm(uint64_t overloaded_total = 0) {
   AdmissionSignals s;
   s.queue_depth = kPressureDepth / 2 - 1;
@@ -32,7 +30,7 @@ AdmissionSignals Depth(size_t depth) {
 void EscalateTo(AdmissionController* c, AdmissionState state) {
   c->Update(Calm());  // baseline
   const size_t depth = state == AdmissionState::kShedding
-                           ? kDefaults.shedding_queue_depth
+                           ? AdmissionController::kSheddingQueueDepth
                            : kPressureDepth;
   ASSERT_EQ(c->Update(Depth(depth)), state);
 }
@@ -45,7 +43,6 @@ TEST(AdmissionControllerTest, FirstSampleOnlySetsTheBaseline) {
             AdmissionState::kHealthy);
   EXPECT_EQ(c.Update(Calm(1'000'000)), AdmissionState::kHealthy);
   EXPECT_EQ(c.transitions(), 0u);
-  EXPECT_EQ(c.samples_in(AdmissionState::kHealthy), 2u);
 }
 
 TEST(AdmissionControllerTest, OneBadSampleEscalatesAtOnce) {
@@ -57,19 +54,20 @@ TEST(AdmissionControllerTest, OneBadSampleEscalatesAtOnce) {
   AdmissionController storm;
   storm.Update(Calm(100));
   // A steady stream of them jumps Healthy -> Shedding in one sample.
-  EXPECT_EQ(storm.Update(Calm(100 + kDefaults.shedding_overloaded_offers)),
-            AdmissionState::kShedding);
+  EXPECT_EQ(
+      storm.Update(Calm(100 + AdmissionController::kSheddingOverloadedOffers)),
+      AdmissionState::kShedding);
   EXPECT_EQ(storm.transitions(), 1u);
 
   AdmissionController deep;
   deep.Update(Calm());
-  EXPECT_EQ(deep.Update(Depth(kDefaults.shedding_queue_depth)),
+  EXPECT_EQ(deep.Update(Depth(AdmissionController::kSheddingQueueDepth)),
             AdmissionState::kShedding);
   EXPECT_TRUE(deep.ShouldShed());
 }
 
 TEST(AdmissionControllerTest, SteppingDownTakesThreeCalmSamplesPerLevel) {
-  ASSERT_EQ(kDefaults.calm_samples_to_step_down, 3);
+  static_assert(AdmissionController::kCalmSamplesToStepDown == 3);
   AdmissionController c;
   EscalateTo(&c, AdmissionState::kShedding);
   EXPECT_EQ(c.Update(Calm()), AdmissionState::kShedding);
