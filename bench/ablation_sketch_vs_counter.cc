@@ -8,10 +8,11 @@
 //
 // Two additions beyond the paper's table:
 //   * Space Saving runs in both summary layouts (linked node lists vs the
-//     flat SIMD-scanned arrays), and a capacity sweep locates the
-//     linked-vs-flat crossover: the flat layout's min-victim scan is O(m)
-//     groups-of-8 while the linked bucket walk is O(1), so linked must win
-//     eventually as m grows — the sweep shows where on this machine.
+//     flat SIMD-scanned arrays), and a capacity sweep at the bench's skew
+//     and at low skew (alpha 0.8) locates the linked-vs-flat crossover.
+//     The flat layout's min-victim scan is O(m) groups-of-8 against the
+//     linked bucket walk's O(1), yet flat wins at every m at alpha 1.5,
+//     and at alpha 0.8 linked wins only at small m (DESIGN.md §10.3).
 //   * Every Space Saving row is accuracy-GATED, not just reported: the
 //     epsilon bound (max estimation error <= N/m) and per-key sandwich
 //     (true <= est <= true + error) are checked against exact ground truth
@@ -81,6 +82,45 @@ double RunSpaceSaving(const Stream& stream, const ExactCounter& exact,
   const double t = timer.ElapsedSeconds();
   GateSpaceSaving(ss, exact, capacity, SummaryLayoutName(layout));
   return t;
+}
+
+// Linked-vs-flat crossover sweep over capacity on one stream; every run is
+// accuracy-gated. Rows are labelled by alpha and capacity.
+void CrossoverSweep(const Stream& stream, const ExactCounter& exact,
+                    double alpha, const BenchConfig& config) {
+  const double n = static_cast<double>(stream.size());
+  char tag[32];
+  std::snprintf(tag, sizeof(tag), "a=%.1f", alpha);
+  std::printf("\nLayout crossover (SpaceSaving, alpha %.1f):\n", alpha);
+  PrintRow({"capacity", "linked", "flat", "flat/linked"});
+  for (size_t cap : {size_t{64}, size_t{256}, size_t{1024}, size_t{4096},
+                     size_t{16384}}) {
+    const double linked = BestOf(config, [&] {
+      return RunSpaceSaving(stream, exact, cap, SummaryLayout::kLinked);
+    });
+    const double flat = BestOf(config, [&] {
+      return RunSpaceSaving(stream, exact, cap, SummaryLayout::kFlat);
+    });
+    // Speed ratio > 1 means flat is faster at this capacity.
+    const double ratio = linked / flat;
+    for (SummaryLayout layout :
+         {SummaryLayout::kLinked, SummaryLayout::kFlat}) {
+      const bool is_flat = layout == SummaryLayout::kFlat;
+      const double seconds = is_flat ? flat : linked;
+      BenchReport::Global().AddTiming(
+          std::string("crossover/") + tag + "/" + SummaryLayoutName(layout) +
+              "/m=" + std::to_string(cap),
+          seconds,
+          {{"alpha", alpha},
+           {"capacity", static_cast<double>(cap)},
+           {"rate_eps", n / seconds},
+           {"flat_speedup", ratio}},
+          {{"layout", SummaryLayoutName(layout)},
+           {"accuracy_gate", "passed"}});
+    }
+    PrintRow({std::to_string(cap), FormatRate(n / linked),
+              FormatRate(n / flat), FormatRatio(ratio)});
+  }
 }
 
 }  // namespace
@@ -183,39 +223,12 @@ int main(int argc, char** argv) {
               std::to_string(are).substr(0, 6)});
   }
 
-  // Linked-vs-flat crossover sweep. At small m the flat scan touches a
-  // handful of cache lines and wins; the O(m) scan cost grows linearly, so
-  // past some capacity the linked bucket discipline takes over.
-  std::printf("\nLayout crossover (SpaceSaving, alpha %.1f):\n", alpha);
-  PrintRow({"capacity", "linked", "flat", "flat/linked"});
-  for (size_t cap : {size_t{64}, size_t{256}, size_t{1024}, size_t{4096},
-                     size_t{16384}}) {
-    const double linked = BestOf(config, [&] {
-      return RunSpaceSaving(stream, exact, cap, SummaryLayout::kLinked);
-    });
-    const double flat = BestOf(config, [&] {
-      return RunSpaceSaving(stream, exact, cap, SummaryLayout::kFlat);
-    });
-    // Speed ratio > 1 means flat is faster at this capacity.
-    const double ratio = linked / flat;
-    for (SummaryLayout layout :
-         {SummaryLayout::kLinked, SummaryLayout::kFlat}) {
-      const bool is_flat = layout == SummaryLayout::kFlat;
-      const double seconds = is_flat ? flat : linked;
-      BenchReport::Global().AddTiming(
-          std::string("crossover/") + SummaryLayoutName(layout) + "/m=" +
-              std::to_string(cap),
-          seconds,
-          {{"capacity", static_cast<double>(cap)},
-           {"rate_eps", static_cast<double>(n) / seconds},
-           {"flat_speedup", ratio}},
-          {{"layout", SummaryLayoutName(layout)},
-           {"accuracy_gate", "passed"}});
-    }
-    PrintRow({std::to_string(cap),
-              FormatRate(static_cast<double>(n) / linked),
-              FormatRate(static_cast<double>(n) / flat), FormatRatio(ratio)});
-  }
+  CrossoverSweep(stream, exact, alpha, config);
+  // Low skew: the readmix benchmark workload's alpha, where nearly every
+  // offer evicts.
+  const double low_alpha = 0.8;
+  const Stream low_skew = MakeStream(n, low_alpha, config);
+  CrossoverSweep(low_skew, ExactCounter(low_skew), low_alpha, config);
 
   std::printf("\nPaper claim: the sketches pay d hash+update rounds per "
               "element (lower rate) and need an auxiliary structure to "

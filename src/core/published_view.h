@@ -1,7 +1,7 @@
 // Copyright (c) the CoTS reproduction authors.
 //
-// PublishedView: the immutable, read-optimized query view the concurrent
-// engines publish for point queries (QPOPSS direction, ROADMAP item 1).
+// PublishedView: the immutable, read-optimized query view CotsFleet
+// publishes for point queries (QPOPSS direction, ROADMAP item 1).
 //
 // A full-walk snapshot per query (seqlock leases, gather, sort) is correct
 // but cannot survive heavy point-query traffic: every IsElementInTopK probe
@@ -22,7 +22,7 @@
 //
 // All of it wait-free: the view is immutable, the probe is bounded by the
 // probe table's load factor, and there are no locks, retries, or sorts on
-// the read path. Readers pin reclamation (EBR for the concurrent engines)
+// the read path. Readers pin reclamation (the fleet's view epochs, EBR)
 // around the pointer load; the superseded view is retired and freed only
 // after a full grace period.
 //

@@ -18,7 +18,7 @@ bool CountDescKeyAsc(const Counter& a, const Counter& b) {
 }
 
 // RAII pin on the summary's published view. `view()` is nullptr when the
-// summary has none (static/sequential summaries, or a concurrent engine
+// summary has none (sequential summaries, the CoTS engine, or a fleet
 // before its first refresh) — callers then take the live-structure path.
 class QueryViewLease {
  public:

@@ -826,51 +826,6 @@ uint64_t ConcurrentStreamSummary::MinFreq(EpochParticipant* participant) const {
   return min == nullptr ? 0 : min->freq;
 }
 
-void ConcurrentStreamSummary::DumpState(std::FILE* out,
-                                        EpochParticipant* participant) const {
-  EpochGuard guard(participant);
-  std::fprintf(out, "summary: monitored=%zu/%zu depth=%zu\n",
-               num_monitored(), capacity_, ApproxQueueDepth(participant));
-  int i = 0;
-  int dead = 0;
-  for (FreqBucket* b = sentinel_; b != nullptr && i < 100000;
-       b = b->next.load(std::memory_order_acquire), ++i) {
-    if (b->gc.load(std::memory_order_acquire)) {
-      ++dead;
-      continue;
-    }
-    std::fprintf(out,
-                 "  [%3d] freq=%llu size=%zu queue=%zu parked=%zu held=%d "
-                 "gc=%d closed=%d",
-                 i, static_cast<unsigned long long>(b->freq),
-                 RelaxedSizeLoad(b->size), b->queue.size(),
-                 b->parked_count.load(std::memory_order_relaxed),
-                 b->held.load() ? 1 : 0, b->gc.load() ? 1 : 0,
-                 b->queue.closed() ? 1 : 0);
-    SummaryNode* head = b->head.load(std::memory_order_acquire);
-    if (head != nullptr && head->entry != nullptr) {
-      std::fprintf(out, " | head key=%llu freq=%llu state=%llx",
-                   static_cast<unsigned long long>(RelaxedFieldLoad(head->key)),
-                   static_cast<unsigned long long>(RelaxedFieldLoad(head->freq)),
-                   static_cast<unsigned long long>(
-                       head->entry->state.load(std::memory_order_relaxed)));
-    }
-    std::fprintf(out, "\n");
-  }
-  std::fprintf(out, "  (%d gc'd buckets still linked)\n", dead);
-  std::fprintf(out,
-               "  stats: created=%llu gcd=%llu delegated=%llu bulk=%llu "
-               "deferred=%llu\n",
-               static_cast<unsigned long long>(stats_.buckets_created.load()),
-               static_cast<unsigned long long>(
-                   stats_.buckets_garbage_collected.load()),
-               static_cast<unsigned long long>(
-                   stats_.requests_delegated_downstream.load()),
-               static_cast<unsigned long long>(stats_.bulk_increments.load()),
-               static_cast<unsigned long long>(
-                   stats_.overwrites_deferred.load()));
-}
-
 bool ConcurrentStreamSummary::CheckInvariantsQuiescent(
     uint64_t expected_total, std::string* why) const {
   auto fail = [why](const char* reason) {

@@ -38,7 +38,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -54,10 +53,10 @@ namespace cots {
 struct FreqBucket;
 
 /// Shared-field access discipline: a node's key/freq/error and a bucket's
-/// size are written only by the holder of the relevant bucket, but are read
-/// concurrently by lock-free queries (CountersDescending, Lookup,
-/// DumpState). Those racing accesses go through std::atomic_ref so the race
-/// is a defined relaxed-atomic one — per-field tearing is impossible, and
+/// size are written only by the holder of the relevant bucket. Lock-free
+/// queries (CountersDescending, Lookup) read the node fields concurrently,
+/// so those racing accesses go through std::atomic_ref: the race is a
+/// defined relaxed-atomic one — per-field tearing is impossible, and
 /// the per-bucket seqlock (FreqBucket::version) provides cross-field
 /// consistency for snapshot readers. Holder-side reads of holder-written
 /// fields stay plain: successive holders synchronize through the bucket's
@@ -81,10 +80,6 @@ inline uint64_t AcquireFieldLoad(const uint64_t& field) {
 inline void RelaxedFieldAdd(size_t& field, std::ptrdiff_t delta) {
   std::atomic_ref<size_t>(field).fetch_add(static_cast<size_t>(delta),
                                            std::memory_order_relaxed);
-}
-inline size_t RelaxedSizeLoad(const size_t& field) {
-  return std::atomic_ref<size_t>(const_cast<size_t&>(field))
-      .load(std::memory_order_relaxed);
 }
 
 /// One monitored element inside the Concurrent Stream Summary. Mutated only
@@ -264,11 +259,6 @@ class ConcurrentStreamSummary {
   /// are non-blocking relaxed ring-index loads and never contend with
   /// producers.
   size_t ApproxQueueDepth(EpochParticipant* participant) const;
-
-  /// Introspection: prints one line per bucket (freq, size, queue, parked,
-  /// held, gc) plus the global stats to `out`. Lock-free racy read; meant
-  /// for diagnostics and the engine's livelock watchdog.
-  void DumpState(std::FILE* out, EpochParticipant* participant) const;
 
   /// Exhaustive structural check on a quiescent structure (single-threaded
   /// test helper): ascending unique frequencies, consistent sizes and

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <thread>
 
-#include "core/published_view.h"
 #include "util/failpoint.h"
 #include "util/trace.h"
 
@@ -102,8 +101,7 @@ CotsSpaceSaving::CotsSpaceSaving(const CotsSpaceSavingOptions& options,
                                  ValidatedTag)
     : epochs_(options.max_threads),
       table_(TableOptions(options), &epochs_),
-      summary_(SummaryOptions(options), &table_, &epochs_),
-      view_refresh_interval_(options.view_refresh_interval) {
+      summary_(SummaryOptions(options), &table_, &epochs_) {
   assert(options.capacity > 0);
   query_participant_ = epochs_.Register();
   assert(query_participant_ != nullptr);
@@ -113,10 +111,6 @@ CotsSpaceSaving::~CotsSpaceSaving() {
   // Quiesce before any member is torn down: no delegated work may be in a
   // queue, parked, or mid-processing while the structures destruct.
   Stop();
-  // No reader can hold a view pin past Stop-plus-handle-destruction; the
-  // current view is ours to free directly (retired predecessors drain via
-  // DrainAll below).
-  delete published_view_.exchange(nullptr, std::memory_order_acq_rel);
   if (query_participant_ != nullptr) epochs_.Unregister(query_participant_);
   // Retired hash slots and buckets carry deleters that touch table_ and
   // summary_ memory; run them while that memory is still alive.
@@ -180,13 +174,8 @@ bool CotsSpaceSaving::ThreadHandle::Offer(ElementId e, uint64_t weight) {
     return false;
   }
   engine_->n_.fetch_add(weight, std::memory_order_relaxed);
-  {
-    EpochGuard guard(participant_);
-    OfferGuarded(e, weight);
-  }
-  // Outside the guard: a refresh snapshot pins its own epoch, and holding
-  // this offer's pin across it would stall reclamation.
-  engine_->MaybeAutoRefresh(participant_, weight);
+  EpochGuard guard(participant_);
+  OfferGuarded(e, weight);
   return true;
 }
 
@@ -281,9 +270,6 @@ bool CotsSpaceSaving::ThreadHandle::OfferBatch(
       }
     }
   }
-  // Outside the guard (see Offer); batch epoch pins are already the
-  // reclamation long pole, so the refresh must not extend them.
-  engine_->MaybeAutoRefresh(participant_, count);
   return true;
 }
 
@@ -357,21 +343,6 @@ size_t CotsSpaceSaving::ThreadHandle::num_counters() const {
   return engine_->num_counters();
 }
 
-const PublishedView* CotsSpaceSaving::ThreadHandle::AcquireQueryView() const {
-  // The epoch pin must cover the pointer load: a view unreachable before
-  // our Enter() can only be freed two epochs later, so whatever we load
-  // here stays alive until ReleaseQueryView.
-  participant_->Enter();
-  const PublishedView* view =
-      engine_->published_view_.load(std::memory_order_acquire);
-  if (view == nullptr) participant_->Exit();
-  return view;
-}
-
-void CotsSpaceSaving::ThreadHandle::ReleaseQueryView() const {
-  participant_->Exit();
-}
-
 std::optional<Counter> CotsSpaceSaving::Lookup(ElementId e) const {
   std::lock_guard<std::mutex> lock(query_mu_);
   return LookupWith(query_participant_, e);
@@ -385,71 +356,6 @@ std::vector<Counter> CotsSpaceSaving::CountersDescending() const {
 uint64_t CotsSpaceSaving::MinFreq() const {
   std::lock_guard<std::mutex> lock(query_mu_);
   return summary_.MinFreq(query_participant_);
-}
-
-void CotsSpaceSaving::PublishView(EpochParticipant* participant) {
-  COTS_TRACE_SPAN(span, "view.publish");
-  std::vector<Counter> counters = summary_.CountersDescending(participant);
-  const uint64_t min_freq = summary_.MinFreq(participant);
-  // N after the snapshot: an offer accounts its weight into n_ before
-  // touching the summary, and the snapshot's counts sum to at most what
-  // was applied by its end, so the view's length covers its counter mass
-  // (it may also count offers still in flight).
-  const uint64_t n = n_.load(std::memory_order_acquire);
-  const uint64_t seq = view_sequence_.load(std::memory_order_relaxed) + 1;
-  span.SetArg(seq);
-  const PublishedView* next =
-      PublishedView::Build(std::move(counters), n, min_freq, seq);
-  COTS_FAILPOINT("view.publish");
-  const PublishedView* prev =
-      published_view_.exchange(next, std::memory_order_acq_rel);
-  view_sequence_.store(seq, std::memory_order_release);
-  COTS_COUNTER_INC("view.refreshes");
-  if (prev != nullptr) {
-    // Readers that acquired `prev` hold epoch pins; EBR defers the free
-    // past their Exit. Retire requires an active participant.
-    EpochGuard guard(participant);
-    participant->Retire(const_cast<PublishedView*>(prev));
-  }
-}
-
-void CotsSpaceSaving::MaybeAutoRefresh(EpochParticipant* participant,
-                                       uint64_t weight) {
-  if (view_refresh_interval_ == 0) return;
-  const uint64_t before =
-      offers_since_refresh_.fetch_add(weight, std::memory_order_relaxed);
-  // Offers applied since the last publish = how stale the view this
-  // thread's queries would see is, in offers. kMax fold: worst thread.
-  COTS_GAUGE_SET("view.staleness_offers", before + weight);
-  if (before + weight < view_refresh_interval_) return;
-  // Single-refresher claim: if someone else is mid-publish, their view is
-  // at most an interval stale already — skip rather than queue up.
-  bool expected = false;
-  if (!view_refresh_claim_.compare_exchange_strong(
-          expected, true, std::memory_order_acquire)) {
-    return;
-  }
-  offers_since_refresh_.store(0, std::memory_order_relaxed);
-  PublishView(participant);
-  view_refresh_claim_.store(false, std::memory_order_release);
-}
-
-void CotsSpaceSaving::RefreshQueryView() {
-  // Wait out any in-flight auto-refresh: its snapshot may predate offers
-  // this caller has already observed, and the staleness contract for an
-  // explicit refresh is "reflects a refresh that began after the call".
-  bool expected = false;
-  while (!view_refresh_claim_.compare_exchange_weak(
-      expected, true, std::memory_order_acquire)) {
-    expected = false;
-    std::this_thread::yield();
-  }
-  offers_since_refresh_.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(query_mu_);
-    PublishView(query_participant_);
-  }
-  view_refresh_claim_.store(false, std::memory_order_release);
 }
 
 }  // namespace cots

@@ -23,7 +23,6 @@
 #define COTS_COTS_COTS_SPACE_SAVING_H_
 
 #include <atomic>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -91,14 +90,6 @@ struct CotsSpaceSavingOptions {
   /// lock-free overflow spill list, which is the designed elastic path,
   /// not an error.
   size_t request_ring_capacity = 0;
-  /// Offers between automatic published-view refreshes (DESIGN.md §11).
-  /// Every `view_refresh_interval` counted occurrences, the offering thread
-  /// rebuilds the immutable query view and publishes it; point queries then
-  /// serve from the view with staleness <= one interval. 0 (default)
-  /// disables auto-refresh — the view exists only after an explicit
-  /// RefreshQueryView() call, and queries fall back to the live structure
-  /// until then.
-  uint64_t view_refresh_interval = 0;
 
   Status Validate();
 };
@@ -111,9 +102,8 @@ class CotsSpaceSaving : public FrequencySummary {
   /// A handle is itself a FrequencySummary over the engine, with every
   /// read served through this thread's own epoch slot — lock-free, unlike
   /// the engine-level interface which shares a mutex-guarded slot. Query
-  /// threads register a handle and point a QueryEngine at it: the
-  /// published-view path (AcquireQueryView) is then one wait-free epoch
-  /// pin + pointer load per query, and the only way to lease the view.
+  /// threads register a handle and point a QueryEngine at it; every query
+  /// then reads the live structure (the paper's lock-free reads, §5.2.4).
   class ThreadHandle : public FrequencySummary {
    public:
     ~ThreadHandle() override;
@@ -148,12 +138,6 @@ class CotsSpaceSaving : public FrequencySummary {
     std::vector<Counter> CountersDescending() const override;
     uint64_t stream_length() const override;
     size_t num_counters() const override;
-    /// Pins this thread's epoch and returns the engine's published view
-    /// (nullptr before the first refresh — the pin is dropped and callers
-    /// take the live-structure path). One reentrant epoch Enter + one
-    /// acquire load: wait-free, no locks, no seqlock retries.
-    const PublishedView* AcquireQueryView() const override;
-    void ReleaseQueryView() const override;
 
     EpochParticipant* participant() { return participant_; }
 
@@ -231,20 +215,6 @@ class CotsSpaceSaving : public FrequencySummary {
   /// Bound on any unmonitored element's frequency (0 while not full).
   uint64_t MinFreq() const;
 
-  /// Rebuilds and publishes the query view now, regardless of the
-  /// auto-refresh interval. Blocks out any concurrent auto-refresh, so on
-  /// return the published view reflects a refresh that began after this
-  /// call — every offer fully applied before the call is visible to
-  /// subsequent view queries (the staleness contract, DESIGN.md §11).
-  /// Thread-safe; callable with ingest running.
-  void RefreshQueryView();
-
-  /// The current published view's refresh number (0 = never published).
-  /// Test/monitoring helper.
-  uint64_t query_view_sequence() const {
-    return view_sequence_.load(std::memory_order_acquire);
-  }
-
   const ConcurrentStreamSummary::Stats& stats() const {
     return summary_.stats();
   }
@@ -256,12 +226,6 @@ class CotsSpaceSaving : public FrequencySummary {
   size_t queue_depth() const {
     std::lock_guard<std::mutex> lock(query_mu_);
     return summary_.ApproxQueueDepth(query_participant_);
-  }
-
-  /// Diagnostic dump of the summary's bucket chain and stats (racy read).
-  void DumpState(std::FILE* out) const {
-    std::lock_guard<std::mutex> lock(query_mu_);
-    summary_.DumpState(out, query_participant_);
   }
 
   /// Quiescent-state structural audit (test helper): checks the summary
@@ -278,16 +242,6 @@ class CotsSpaceSaving : public FrequencySummary {
 
   std::optional<Counter> LookupWith(EpochParticipant* participant,
                                     ElementId e) const;
-
-  // Builds a view from the live structure and publishes it, retiring the
-  // superseded view through `participant`'s EBR slot. Caller must hold the
-  // refresh claim (view_refresh_claim_); `participant` must be usable from
-  // the calling thread.
-  void PublishView(EpochParticipant* participant);
-  // Auto-refresh check, called after each counted offer/batch with the
-  // occurrence weight it contributed. Never blocks: if another thread holds
-  // the refresh claim, the refresh is skipped (theirs is fresh enough).
-  void MaybeAutoRefresh(EpochParticipant* participant, uint64_t weight);
 
   // Destruction order matters: participants/retired garbage drain into
   // epochs_, so it must outlive table_ and summary_ (declared first =
@@ -306,17 +260,6 @@ class CotsSpaceSaving : public FrequencySummary {
   // Shared query slot for the virtual FrequencySummary interface.
   mutable std::mutex query_mu_;
   mutable EpochParticipant* query_participant_ = nullptr;
-
-  // Epoch-published query view (DESIGN.md §11). published_view_ is written
-  // with an acq_rel exchange by the claim holder and read with acquire
-  // loads under an epoch pin; superseded views are EBR-retired, so readers
-  // never see freed memory. view_refresh_claim_ serializes refreshers
-  // (auto-refreshers skip when contended; RefreshQueryView waits).
-  uint64_t view_refresh_interval_ = 0;
-  std::atomic<const PublishedView*> published_view_{nullptr};
-  std::atomic<bool> view_refresh_claim_{false};
-  std::atomic<uint64_t> offers_since_refresh_{0};
-  std::atomic<uint64_t> view_sequence_{0};
 };
 
 }  // namespace cots

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Perf gate for the epoch-published query view.
+"""Perf gate for the fleet's epoch-published query view.
 
-Reads a fresh ``ablation_query_threads --json`` report and checks, within
-that single report (so the gate is machine-independent by construction):
+Reads a fresh ``ablation_query_threads --json`` report, whose matrix runs
+on ``CotsFleet`` (the serving path), and checks, within that single report
+(so the gate is machine-independent by construction):
 
 1. Schema: every timing row with query threads carries ``qps``, ``p50_us``
    and ``p99_us`` — the percentile columns DESIGN.md's report contract
@@ -10,13 +11,13 @@ that single report (so the gate is machine-independent by construction):
 2. Speedup: for every (ingest threads, query threads) cell measured in both
    modes, the view row's point-query rate divided by the snapshot row's is
    the benefit of serving from the published view instead of the live
-   structure (where IsElementInTopK pays a selection over the counter set
+   shards (where IsElementInTopK folds every shard, each under its flag,
    per query). The gate passes when the GEOMETRIC MEAN of those per-cell
-   ratios clears ``--min-ratio``. A geometric mean because single-core CI
-   runners timeshare the ingest and query threads, which makes individual
-   cells noisy in both directions; losing the view fast path (e.g. the
-   lease never acquiring) collapses every cell at once, which the mean
-   catches.
+   ratios clears ``--min-ratio``. A geometric mean because CI runners with
+   fewer cores than threads timeshare the ingest and query threads, which
+   makes individual cells noisy in both directions; losing the view fast
+   path (e.g. the lease never acquiring) collapses every cell at once,
+   which the mean catches.
 
 Exits 1 on a failed gate, 2 when nothing could be compared (schema drift —
 a misconfigured pipeline must not pass vacuously).
@@ -48,7 +49,8 @@ def main():
                         help="ablation_query_threads --json report")
     parser.add_argument("--min-ratio", type=float, default=5.0,
                         help="minimum geomean view/snapshot qps ratio "
-                             "(default 5; the committed baseline clears 10)")
+                             "(default 5; the committed baseline, a fleet "
+                             "run on 4 hardware threads, reads 996)")
     args = parser.parse_args()
 
     cells = load_cells(args.current)
