@@ -11,14 +11,16 @@
 //     flat SIMD-scanned arrays), and a capacity sweep at the bench's skew
 //     and at low skew (alpha 0.8) locates the linked-vs-flat crossover.
 //     The flat layout's min-victim scan is O(m) groups-of-8 against the
-//     linked bucket walk's O(1), yet flat wins at every m at alpha 1.5,
-//     and at alpha 0.8 linked wins only at small m (DESIGN.md §10.3).
+//     linked bucket walk's O(1), yet flat wins at every m at both skews
+//     (DESIGN.md §10.3).
 //   * Every Space Saving row is accuracy-GATED, not just reported: the
 //     epsilon bound (max estimation error <= N/m) and per-key sandwich
 //     (true <= est <= true + error) are checked against exact ground truth
 //     and any violation exits non-zero, so a perf pipeline cannot publish
 //     numbers from a layout that broke the algorithm.
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 
@@ -84,17 +86,42 @@ double RunSpaceSaving(const Stream& stream, const ExactCounter& exact,
   return t;
 }
 
-// Linked-vs-flat crossover sweep over capacity on one stream; every run is
+// Capacities the layout crossover sweeps, and the keys per counter of the
+// largest one that its streams draw from. A row whose capacity reaches the
+// stream's distinct keys never evicts and times only monitored hits. So
+// the sweep draws from at least 16 x 16384 keys (CI's 200,000-key stream
+// at alpha 0.8 then holds 85,146 distinct keys), and it skips a capacity
+// unless the stream holds kMinDistinctPerCounter times as many distinct
+// keys: high skew concentrates a short stream on few keys (4,427 at alpha
+// 1.5 and 200,000 keys, so m = 4096 and 16384 are skipped there).
+constexpr std::array<size_t, 5> kCrossoverCapacities = {64, 256, 1024, 4096,
+                                                         16384};
+constexpr uint64_t kCrossoverKeysPerCounter = 16;
+constexpr size_t kMinDistinctPerCounter = 2;
+
+// Linked-vs-flat crossover sweep over capacity; every run is
 // accuracy-gated. Rows are labelled by alpha and capacity.
-void CrossoverSweep(const Stream& stream, const ExactCounter& exact,
-                    double alpha, const BenchConfig& config) {
+void CrossoverSweep(uint64_t length, double alpha,
+                    const BenchConfig& config) {
+  BenchConfig wide = config;
+  wide.alphabet = std::max<uint64_t>(
+      config.AlphabetFor(length),
+      kCrossoverKeysPerCounter * kCrossoverCapacities.back());
+  const Stream stream = MakeStream(length, alpha, wide);
+  const ExactCounter exact(stream);
   const double n = static_cast<double>(stream.size());
   char tag[32];
   std::snprintf(tag, sizeof(tag), "a=%.1f", alpha);
-  std::printf("\nLayout crossover (SpaceSaving, alpha %.1f):\n", alpha);
+  std::printf("\nLayout crossover (SpaceSaving, alpha %.1f, %llu keys, "
+              "%zu distinct):\n",
+              alpha, static_cast<unsigned long long>(wide.alphabet),
+              exact.distinct());
   PrintRow({"capacity", "linked", "flat", "flat/linked"});
-  for (size_t cap : {size_t{64}, size_t{256}, size_t{1024}, size_t{4096},
-                     size_t{16384}}) {
+  for (size_t cap : kCrossoverCapacities) {
+    if (exact.distinct() < kMinDistinctPerCounter * cap) {
+      PrintRow({std::to_string(cap), "skipped: too few distinct keys"});
+      continue;
+    }
     const double linked = BestOf(config, [&] {
       return RunSpaceSaving(stream, exact, cap, SummaryLayout::kLinked);
     });
@@ -113,6 +140,7 @@ void CrossoverSweep(const Stream& stream, const ExactCounter& exact,
           seconds,
           {{"alpha", alpha},
            {"capacity", static_cast<double>(cap)},
+           {"distinct", static_cast<double>(exact.distinct())},
            {"rate_eps", n / seconds},
            {"flat_speedup", ratio}},
           {{"layout", SummaryLayoutName(layout)},
@@ -223,12 +251,10 @@ int main(int argc, char** argv) {
               std::to_string(are).substr(0, 6)});
   }
 
-  CrossoverSweep(stream, exact, alpha, config);
+  CrossoverSweep(n, alpha, config);
   // Low skew: the readmix benchmark workload's alpha, where nearly every
   // offer evicts.
-  const double low_alpha = 0.8;
-  const Stream low_skew = MakeStream(n, low_alpha, config);
-  CrossoverSweep(low_skew, ExactCounter(low_skew), low_alpha, config);
+  CrossoverSweep(n, /*alpha=*/0.8, config);
 
   std::printf("\nPaper claim: the sketches pay d hash+update rounds per "
               "element (lower rate) and need an auxiliary structure to "

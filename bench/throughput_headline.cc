@@ -8,7 +8,10 @@
 // arrays of core/flat_stream_summary.h) is what tools/perf_smoke.py gates
 // on: the flat/linked rate ratio is machine-insensitive, so CI can catch a
 // flat regression without absolute-throughput flakiness. Sequential rows
-// carry a "layout" tag; flat rows add a "flat" to the label.
+// carry a "layout" tag; flat rows add a "flat" to the label. The sweep
+// starts at alpha 0.8, where nearly every offer evicts, so the gate also
+// covers the eviction path (victim scan and index erase/insert) that the
+// high-skew rows rarely reach.
 
 #include <algorithm>
 #include <cstdio>
@@ -21,7 +24,7 @@ using namespace cots::bench;
 int main(int argc, char** argv) {
   BenchConfig config = BenchConfig::Parse(argc, argv);
   const uint64_t n = config.n != 0 ? config.n : (config.full ? 4'000'000 : 1'000'000);
-  const std::vector<double> alphas = {1.5, 2.0, 2.5, 3.0};
+  const std::vector<double> alphas = {0.8, 1.5, 2.0, 2.5, 3.0};
   const std::vector<int> threads =
       config.full ? std::vector<int>{1, 2, 4, 8, 16} : std::vector<int>{1, 2, 4, 8};
 

@@ -8,72 +8,14 @@
 #include "util/simd.h"
 
 namespace cots {
-namespace {
-
-// SplitMix64 finalizer: full-avalanche so sequential ElementIds (and the
-// zipf generator's already-mixed keys) spread over the index evenly.
-inline uint64_t MixKey(ElementId e) {
-  uint64_t x = e;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-inline size_t IndexSizeFor(size_t capacity) {
-  // Power of two with load factor <= 0.5 so linear probes stay short.
-  size_t size = 8;
-  while (size < capacity * 2) size <<= 1;
-  return size;
-}
-
-}  // namespace
 
 FlatStreamSummary::FlatStreamSummary(size_t capacity)
     : capacity_(capacity),
       keys_(capacity),
       freqs_(capacity, 0),
       errors_(capacity, 0),
-      index_mask_(IndexSizeFor(capacity) - 1),
-      index_keys_(IndexSizeFor(capacity), 0),
-      index_slots_(IndexSizeFor(capacity), kEmptySlot) {
+      index_(capacity) {
   assert(capacity > 0 && "FlatStreamSummary requires capacity > 0");
-}
-
-size_t FlatStreamSummary::IndexFind(ElementId key) const {
-  size_t p = static_cast<size_t>(MixKey(key)) & index_mask_;
-  while (index_slots_[p] != kEmptySlot) {
-    if (index_keys_[p] == key) return p;
-    p = (p + 1) & index_mask_;
-  }
-  return kNotFound;
-}
-
-void FlatStreamSummary::IndexInsert(ElementId key, uint32_t slot) {
-  size_t p = static_cast<size_t>(MixKey(key)) & index_mask_;
-  while (index_slots_[p] != kEmptySlot) p = (p + 1) & index_mask_;
-  index_keys_[p] = key;
-  index_slots_[p] = slot;
-}
-
-void FlatStreamSummary::IndexErase(ElementId key) {
-  size_t hole = IndexFind(key);
-  assert(hole != kNotFound && "IndexErase of absent key");
-  // Backward-shift deletion: walk the probe chain after the hole and move
-  // back any entry whose home position means it may only be reachable
-  // through the hole. Leaves no tombstones.
-  size_t p = (hole + 1) & index_mask_;
-  while (index_slots_[p] != kEmptySlot) {
-    const size_t home = static_cast<size_t>(MixKey(index_keys_[p])) & index_mask_;
-    // Probe distance comparison in modular arithmetic: the entry at p can
-    // move into the hole iff the hole lies within its probe path.
-    if (((p - home) & index_mask_) >= ((p - hole) & index_mask_)) {
-      index_keys_[hole] = index_keys_[p];
-      index_slots_[hole] = index_slots_[p];
-      hole = p;
-    }
-    p = (p + 1) & index_mask_;
-  }
-  index_slots_[hole] = kEmptySlot;
 }
 
 size_t FlatStreamSummary::FindVictimSlot() {
@@ -106,41 +48,40 @@ size_t FlatStreamSummary::FindVictimSlot() {
 void FlatStreamSummary::Offer(ElementId e, uint64_t weight) {
   if (weight == 0) return;
   n_ += weight;
-  const size_t p = IndexFind(e);
-  if (p != kNotFound) {
+  const size_t slot = index_.Find(keys_.data(), e);
+  if (slot != SlotIndex::kNotFound) {
     // Monitored hit: pure array add. Frequencies are monotone, so the
     // cached minimum stays a sound lower bound untouched.
-    freqs_[index_slots_[p]] += weight;
+    freqs_[slot] += weight;
     return;
   }
   if (size_ < capacity_) {
     // Room left: admit into the next sequential slot with zero error.
-    const uint32_t slot = static_cast<uint32_t>(size_++);
-    keys_[slot] = e;
-    freqs_[slot] = weight;
-    errors_[slot] = 0;
-    IndexInsert(e, slot);
+    const uint32_t admit = static_cast<uint32_t>(size_++);
+    keys_[admit] = e;
+    freqs_[admit] = weight;
+    errors_[admit] = 0;
+    index_.Insert(keys_.data(), admit);
     min_valid_ = false;
     return;
   }
   // Full: overwrite a minimum-frequency victim. The newcomer inherits the
   // victim's count as its error bound (Space Saving Algorithm 1).
-  const size_t victim = FindVictimSlot();
+  const uint32_t victim = static_cast<uint32_t>(FindVictimSlot());
   const uint64_t victim_freq = freqs_[victim];
-  IndexErase(keys_[victim]);
+  index_.Erase(keys_.data(), victim);  // before keys_[victim] changes
   keys_[victim] = e;
   freqs_[victim] = victim_freq + weight;
   errors_[victim] = victim_freq;
-  IndexInsert(e, static_cast<uint32_t>(victim));
+  index_.Insert(keys_.data(), victim);
   cursor_ = victim + 1;
   // min_freq_ is unchanged: the new frequency is strictly larger, and any
   // other slot still at the old minimum remains a true minimum.
 }
 
 std::optional<Counter> FlatStreamSummary::Lookup(ElementId e) const {
-  const size_t p = IndexFind(e);
-  if (p == kNotFound) return std::nullopt;
-  const uint32_t slot = index_slots_[p];
+  const size_t slot = index_.Find(keys_.data(), e);
+  if (slot == SlotIndex::kNotFound) return std::nullopt;
   return Counter{keys_[slot], freqs_[slot], errors_[slot]};
 }
 
@@ -197,17 +138,8 @@ bool FlatStreamSummary::CheckInvariants() const {
     sum += freqs_[i];
   }
   if (sum != n_) return false;
-  // Index <-> array bijection.
-  size_t indexed = 0;
-  for (size_t p = 0; p <= index_mask_; ++p) {
-    if (index_slots_[p] == kEmptySlot) continue;
-    ++indexed;
-    const uint32_t slot = index_slots_[p];
-    if (slot >= size_) return false;
-    if (keys_[slot] != index_keys_[p]) return false;
-    if (IndexFind(index_keys_[p]) != p) return false;
-  }
-  if (indexed != size_) return false;
+  // Index <-> array bijection over the live slots, at load <= 1/8.
+  if (!index_.CheckInvariants(keys_.data(), size_)) return false;
   // Cached-min soundness: a lower bound on every live frequency.
   if (min_valid_) {
     for (size_t i = 0; i < size_; ++i) {

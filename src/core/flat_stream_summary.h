@@ -7,11 +7,11 @@
 //
 // Layout. Three parallel arrays of exactly m entries (keys / frequencies /
 // errors: structure-of-arrays, so the victim scan touches only the
-// frequency array — 8 counters per cache line) plus a power-of-two
-// open-addressing key->slot index at load factor <= 0.5 with backward-shift
-// deletion (no tombstones, so probes never degrade over the stream). The
-// whole structure is three allocations at construction and zero per
-// element.
+// frequency array — 8 counters per cache line) plus a SlotIndex
+// (core/slot_index.h): 4-byte slot numbers in a power-of-two table at load
+// factor <= 1/8, probed against keys_, with backward-shift deletion (no
+// tombstones, so probes never degrade over the stream). The whole
+// structure is four allocations at construction and zero per element.
 //
 // Updates. A monitored increment is one index probe and one array add — no
 // bucket relocation, which is where the linked layout spends its time.
@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "core/counter.h"
+#include "core/slot_index.h"
 #include "util/macros.h"
 
 namespace cots {
@@ -83,20 +84,12 @@ class FlatStreamSummary {
   /// against capacity() themselves, as SpaceSaving does.
   uint64_t MinFreq() const;
 
-  /// Structural self-check (index <-> arrays consistency, count
-  /// conservation, cached-min soundness). Test helper.
+  /// Structural self-check (index <-> arrays consistency and the index's
+  /// load-factor bound, count conservation, cached-min soundness). Test
+  /// helper.
   bool CheckInvariants() const;
 
  private:
-  static constexpr uint32_t kEmptySlot = ~uint32_t{0};
-  static constexpr size_t kNotFound = ~size_t{0};
-
-  // Index probe for `key`: position in the index arrays, or kNotFound.
-  size_t IndexFind(ElementId key) const;
-  void IndexInsert(ElementId key, uint32_t slot);
-  // Removes `key` (must be present) with backward-shift compaction.
-  void IndexErase(ElementId key);
-
   // Slot of a true minimum-frequency counter; refreshes min_freq_ when the
   // cached value went stale. Requires size_ == capacity_.
   size_t FindVictimSlot();
@@ -117,10 +110,8 @@ class FlatStreamSummary {
   std::vector<uint64_t> freqs_;
   std::vector<uint64_t> errors_;
 
-  // Open-addressing index (power-of-two size, linear probing).
-  size_t index_mask_;
-  std::vector<ElementId> index_keys_;
-  std::vector<uint32_t> index_slots_;
+  // key -> slot, probed against keys_.
+  SlotIndex index_;
 };
 
 }  // namespace cots

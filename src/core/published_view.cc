@@ -36,14 +36,6 @@ void DemoteVector(const std::vector<T>& v) {
   DemoteRange(v.data(), v.size() * sizeof(T));
 }
 
-// Smallest power of two >= 2*n (load factor <= 0.5), floor of 8 slots so
-// tiny views still probe a real table.
-size_t IndexCapacityFor(size_t n) {
-  size_t cap = 8;
-  while (cap < n * 2) cap <<= 1;
-  return cap;
-}
-
 }  // namespace
 
 const PublishedView* PublishedView::Build(std::vector<Counter> counters,
@@ -60,13 +52,13 @@ const PublishedView* PublishedView::Build(std::vector<Counter> counters,
               return a.key < b.key;
             });
 
-  auto* view = new PublishedView();
+  const size_t n = counters.size();
+  auto* view = new PublishedView(n);
   view->stream_length_ = stream_length;
   view->min_freq_ = min_freq;
   view->sequence_ = sequence;
   view->shed_weight_ = shed_weight;
 
-  const size_t n = counters.size();
   view->keys_.reserve(n);
   view->counts_.reserve(n);
   view->errors_.reserve(n);
@@ -76,18 +68,11 @@ const PublishedView* PublishedView::Build(std::vector<Counter> counters,
     view->errors_.push_back(c.error);
   }
 
-  const size_t cap = IndexCapacityFor(n);
-  view->index_mask_ = cap - 1;
-  view->index_ranks_.assign(cap, kEmptySlot);
   for (size_t rank = 0; rank < n; ++rank) {
-    size_t slot = static_cast<size_t>(Mix(view->keys_[rank])) & view->index_mask_;
-    while (view->index_ranks_[slot] != kEmptySlot) {
-      // A key can appear at most once in a summary snapshot; duplicates
-      // would corrupt Rank(), so the merge/dedup must happen upstream.
-      assert(view->keys_[view->index_ranks_[slot]] != view->keys_[rank]);
-      slot = (slot + 1) & view->index_mask_;
-    }
-    view->index_ranks_[slot] = static_cast<uint32_t>(rank);
+    // A key can appear at most once in a summary snapshot; duplicates
+    // would corrupt Rank(), so the merge/dedup must happen upstream.
+    assert(view->Rank(view->keys_[rank]) == kNotFound);
+    view->index_.Insert(view->keys_.data(), static_cast<uint32_t>(rank));
   }
   return view;
 }
@@ -97,7 +82,7 @@ void PublishedView::DemoteCacheLines() const {
   DemoteVector(keys_);
   DemoteVector(counts_);
   DemoteVector(errors_);
-  DemoteVector(index_ranks_);
+  DemoteRange(index_.data(), index_.table_size() * sizeof(uint32_t));
 }
 
 std::vector<Counter> PublishedView::TopK(size_t k) const {

@@ -8,9 +8,9 @@
 // paid an O(m log m) CountersDescending. Instead, ingest (or an explicit
 // refresh hook) periodically builds one of these — a compact
 // structure-of-arrays copy of the monitored counters in descending
-// frequency order, plus an open-addressing key->rank probe table in the
-// style of FlatStreamSummary's index — and publishes it with a release
-// store. Point queries then execute:
+// frequency order, plus a key->rank SlotIndex (core/slot_index.h), the
+// index FlatStreamSummary uses — and publishes it with a release store.
+// Point queries then execute:
 //
 //   IsElementFrequent(e)  = one hash probe + one compare against the
 //                           view's cached stream_length (no per-query
@@ -21,8 +21,8 @@
 //   TopK(k) / FrequentElements(phi) = a prefix copy, no re-sort.
 //
 // All of it wait-free: the view is immutable, the probe is bounded by the
-// probe table's load factor, and there are no locks, retries, or sorts on
-// the read path. Readers pin reclamation (the fleet's view epochs, EBR)
+// index's load factor (at most 1/8), and there are no locks, retries, or
+// sorts on the read path. Readers pin reclamation (the fleet's view epochs, EBR)
 // around the pointer load; the superseded view is retired and freed only
 // after a full grace period.
 //
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "core/counter.h"
+#include "core/slot_index.h"
 #include "util/macros.h"
 
 namespace cots {
@@ -74,15 +75,7 @@ class COTS_CACHE_ALIGNED PublishedView {
 
   /// Rank of e in descending frequency order (0 = most frequent), or
   /// kNotFound. Bounded linear probe over the immutable index.
-  size_t Rank(ElementId e) const {
-    size_t slot = static_cast<size_t>(Mix(e)) & index_mask_;
-    for (;;) {
-      const uint32_t rank = index_ranks_[slot];
-      if (rank == kEmptySlot) return kNotFound;
-      if (keys_[rank] == e) return rank;
-      slot = (slot + 1) & index_mask_;
-    }
-  }
+  size_t Rank(ElementId e) const { return index_.Find(keys_.data(), e); }
 
   /// The kth-frequency ladder: estimate of the k-th most frequent monitored
   /// element (0 when fewer than k are monitored). O(1) — counts_ is sorted.
@@ -122,21 +115,11 @@ class COTS_CACHE_ALIGNED PublishedView {
   /// architecture is missing (CLDEMOTE decodes as a NOP on older x86).
   void DemoteCacheLines() const;
 
-  static constexpr size_t kNotFound = ~size_t{0};
+  static constexpr size_t kNotFound = SlotIndex::kNotFound;
 
  private:
-  PublishedView() = default;
-
-  static constexpr uint32_t kEmptySlot = ~uint32_t{0};
-
-  static uint64_t Mix(ElementId e) {
-    // Finalizer-strength mix, same constants as the engines' BucketFor.
-    uint64_t h = e;
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return h;
-  }
+  // An empty view whose index has room for `size` counters.
+  explicit PublishedView(size_t size) : index_(size) {}
 
   uint64_t stream_length_ = 0;
   uint64_t min_freq_ = 0;
@@ -149,10 +132,9 @@ class COTS_CACHE_ALIGNED PublishedView {
   std::vector<uint64_t> counts_;
   std::vector<uint64_t> errors_;
 
-  // Open-addressing key->rank index (power-of-two, linear probing, load
-  // factor <= 0.5). Immutable after Build, so probes never retry.
-  size_t index_mask_ = 0;
-  std::vector<uint32_t> index_ranks_;
+  // key -> rank, probed against keys_. Immutable after Build, so probes
+  // never retry.
+  SlotIndex index_;
 };
 
 }  // namespace cots

@@ -59,6 +59,13 @@ bool ByCountDescending(const Counter& a, const Counter& b) {
 // most 1/(kPublishPacing + 1) of its time.
 constexpr uint64_t kPublishPacing = 8;
 
+// Superseded views a thread may hold unfreed before each further retire
+// forces an epoch advance (EpochManager's forced-advance backlog). A view
+// is retired once per publish, so the default cadence (one advance attempt
+// per 64 retires) would keep 64-128 views waiting for reclamation, most of
+// the fleet's heap. With 2, a view is freed within a few publishes.
+constexpr size_t kViewRetireBacklog = 2;
+
 // A holder that keeps a shard's flag this long is treated as stalled
 // (preempted or wedged): a producer waiting to help a backlogged shard
 // hands its run off instead, and an automatic refresh gives up and stays
@@ -278,7 +285,7 @@ bool CotsFleet::Shard::CheckInvariants() const {
 CotsFleet::CotsFleet(const CotsFleetOptions& options)
     : options_(ValidatedOptions(options)),
       view_refresh_interval_(options_.view_refresh_interval),
-      view_epochs_(options_.engine.max_threads) {
+      view_epochs_(options_.engine.max_threads, kViewRetireBacklog) {
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(options_.engine.capacity));

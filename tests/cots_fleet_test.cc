@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <atomic>
 #include <filesystem>
 #include <mutex>
@@ -541,6 +543,44 @@ TEST_F(CotsFleetTest, FleetStartsNoThreads) {
   handle.reset();
   fleet.Stop();
   EXPECT_EQ(threads(), before);
+}
+
+// Superseded views are freed within a few publishes, and a registered
+// reader that pins nothing does not hold them back. 256 manual refreshes of
+// a 1000-counter view must leave the heap within 1 MB of where it started;
+// an epoch domain that advances once per 64 retires keeps 64-128
+// superseded views of 32 KB or more waiting for reclamation.
+TEST_F(CotsFleetTest, SupersededViewsAreFreedWithinAFewPublishes) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer's allocator hides heap use from mallinfo2";
+#else
+  CotsFleet fleet(MakeOptions(/*shards=*/4, /*capacity=*/1000));
+  auto reader = fleet.RegisterThread();
+  ASSERT_NE(reader, nullptr);
+  {
+    auto producer = fleet.RegisterThread();
+    ASSERT_NE(producer, nullptr);
+    std::vector<ElementId> batch(512);
+    for (ElementId base = 0; base < 20000; base += batch.size()) {
+      for (size_t i = 0; i < batch.size(); ++i) batch[i] = base + i;
+      ASSERT_TRUE(producer->OfferBatch(batch.data(), batch.size()));
+    }
+  }
+  fleet.RefreshQueryView();
+  const auto heap_bytes = [] {
+    const struct mallinfo2 mi = ::mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+  };
+  const size_t before = heap_bytes();
+  for (int i = 0; i < 256; ++i) fleet.RefreshQueryView();
+  const size_t after = heap_bytes();
+  EXPECT_LT(after, before + (size_t{1} << 20))
+      << "heap grew by " << (after - before) << " bytes over 256 publishes";
+  const PublishedView* view = reader->AcquireQueryView();
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->size(), 1000u);
+  reader->ReleaseQueryView();
+#endif
 }
 
 // Never-block regression: a holder wedges (bounded spin) inside a shard's

@@ -16,6 +16,7 @@
 #include <random>
 #include <vector>
 
+#include "core/slot_index.h"
 #include "core/space_saving.h"
 #include "core/summary_merge.h"
 #include "stream/exact_counter.h"
@@ -198,19 +199,39 @@ TEST(FlatStreamSummaryTest, StaleCachedMinimumIsRecomputed) {
   EXPECT_TRUE(s.CheckInvariants());
 }
 
-// Open-addressing index erase correctness: churn far more distinct keys
-// than capacity so backward-shift deletion runs constantly, then verify
-// every monitored key is still findable and the structure is consistent.
+// Index erase correctness: churn far more distinct keys than capacity so
+// backward-shift deletion runs constantly, then verify every monitored key
+// is still findable and the structure is consistent. Capacities sit on
+// both sides of an index-size power of two, and half the offers draw from
+// keys that home on the table's last two entries, so probe runs wrap the
+// table's end and erases shift entries back across it.
 TEST(FlatStreamSummaryTest, IndexSurvivesHeavyEvictionChurn) {
-  FlatStreamSummary s(16);
-  Xoshiro256 rng(7);
-  for (int i = 0; i < 50000; ++i) {
-    s.Offer(1 + rng.NextBounded(5000), 1 + rng.NextBounded(3));
-  }
-  ASSERT_TRUE(s.CheckInvariants());
-  for (const Counter& c : s.CountersDescending()) {
-    ASSERT_TRUE(s.Lookup(c.key).has_value()) << "key " << c.key;
-    EXPECT_EQ(s.Lookup(c.key)->count, c.count);
+  for (size_t capacity : {1, 2, 7, 8, 9, 1000, 1024, 1025}) {
+    SCOPED_TRACE(testing::Message() << "capacity=" << capacity);
+    const size_t table = SlotIndex::TableSizeFor(capacity);
+    std::vector<ElementId> wrapping;
+    for (ElementId k = 1; wrapping.size() < 64; ++k) {
+      if ((SlotIndex::Hash(k) & (table - 1)) >= table - 2) {
+        wrapping.push_back(k);
+      }
+    }
+    FlatStreamSummary s(capacity);
+    Xoshiro256 rng(7 + capacity);
+    for (int i = 0; i < 50000; ++i) {
+      const ElementId e =
+          rng.NextBounded(2) == 0
+              ? wrapping[rng.NextBounded(wrapping.size())]
+              : 1 + rng.NextBounded(5000 + 20 * capacity);
+      s.Offer(e, 1 + rng.NextBounded(3));
+      if (i % 5000 == 0) {
+        ASSERT_TRUE(s.CheckInvariants()) << "offer " << i;
+      }
+    }
+    ASSERT_TRUE(s.CheckInvariants());
+    for (const Counter& c : s.CountersDescending()) {
+      ASSERT_TRUE(s.Lookup(c.key).has_value()) << "key " << c.key;
+      EXPECT_EQ(s.Lookup(c.key)->count, c.count);
+    }
   }
 }
 

@@ -85,23 +85,28 @@ TEST(PublishedViewTest, RankIsDescendingPosition) {
 }
 
 TEST(PublishedViewTest, ManyKeysProbeCleanly) {
-  // Exercise the open-addressing index well past one cache line of slots,
-  // including adjacent keys (worst case for a weak mix).
-  std::vector<Counter> in;
-  constexpr uint64_t kKeys = 1000;
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    in.push_back(Counter{k, kKeys - k, 0});
-  }
-  auto view = MakeView(in, 500500, 0, 3);
-  ASSERT_EQ(view->size(), kKeys);
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    const auto found = view->Find(k);
-    ASSERT_TRUE(found.has_value()) << "key " << k;
-    EXPECT_EQ(found->count, kKeys - k);
-    EXPECT_EQ(view->Rank(k), k);  // count = kKeys - k is already descending
-  }
-  for (uint64_t k = kKeys; k < kKeys + 100; ++k) {
-    EXPECT_FALSE(view->Find(k).has_value());
+  // Exercise the index from empty and single-key views to well past one
+  // cache line of entries, on both sides of an index-size power of two
+  // (1024 keys fill 8192 entries to 1/8; 1025 take 16384), with adjacent
+  // keys (worst case for a weak mix).
+  for (uint64_t keys : {0, 1, 2, 1000, 1024, 1025}) {
+    SCOPED_TRACE(testing::Message() << "keys=" << keys);
+    std::vector<Counter> in;
+    for (uint64_t k = 0; k < keys; ++k) {
+      in.push_back(Counter{k, keys - k, 0});
+    }
+    auto view = MakeView(in, keys * (keys + 1) / 2, 0, 3);
+    ASSERT_EQ(view->size(), keys);
+    for (uint64_t k = 0; k < keys; ++k) {
+      const auto found = view->Find(k);
+      ASSERT_TRUE(found.has_value()) << "key " << k;
+      EXPECT_EQ(found->count, keys - k);
+      EXPECT_EQ(view->Rank(k), k);  // count = keys - k is already descending
+    }
+    for (uint64_t k = keys; k < keys + 100; ++k) {
+      EXPECT_FALSE(view->Find(k).has_value());
+      EXPECT_EQ(view->Rank(k), PublishedView::kNotFound);
+    }
   }
 }
 
