@@ -7,6 +7,8 @@
 #include <functional>
 #include <thread>
 
+#include "core/flat_stream_summary.h"
+#include "core/space_saving.h"
 #include "util/json_writer.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
@@ -166,15 +168,20 @@ double BestOf(const BenchConfig& config, const std::function<double()>& fn) {
   return best;
 }
 
-double TimeSequential(const Stream& stream, size_t capacity,
-                      SummaryLayout layout) {
+double TimeSequential(const Stream& stream, size_t capacity) {
   SpaceSavingOptions opt;
   opt.capacity = capacity;
-  opt.layout = layout;
   if (!opt.Validate().ok()) std::abort();
   SpaceSaving engine(opt);
   Stopwatch timer;
   engine.Process(stream);
+  return timer.ElapsedSeconds();
+}
+
+double TimeSequentialFlat(const Stream& stream, size_t capacity) {
+  FlatStreamSummary summary(capacity);
+  Stopwatch timer;
+  for (ElementId e : stream) summary.Offer(e);
   return timer.ElapsedSeconds();
 }
 

@@ -118,8 +118,12 @@ double BestOf(const BenchConfig& config, const std::function<double()>& fn);
 
 // ---- Timed runners (seconds of wall time to consume the whole stream) ----
 
-double TimeSequential(const Stream& stream, size_t capacity,
-                      SummaryLayout layout = SummaryLayout::kLinked);
+/// Sequential SpaceSaving, the paper's linked Stream Summary.
+double TimeSequential(const Stream& stream, size_t capacity);
+
+/// Sequential FlatStreamSummary, the array-backed layout the fleet's
+/// shards run.
+double TimeSequentialFlat(const Stream& stream, size_t capacity);
 
 /// Shared Structure baseline; threads slice the stream contiguously.
 template <typename Mutex>

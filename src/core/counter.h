@@ -21,25 +21,6 @@ namespace cots {
 
 class PublishedView;
 
-/// Physical layout of a sequential Space Saving summary
-/// (SpaceSavingOptions::layout). Both layouts implement identical
-/// algorithmic guarantees; the choice is purely a memory-layout/performance
-/// knob:
-///
-///   * kLinked — the paper-faithful Stream Summary bucket list (Fig 2):
-///     doubly-linked frequency buckets, O(1) amortized updates, elements
-///     readable in frequency order for free. Pointer-chasing.
-///   * kFlat — contiguous counter arrays with an open-addressing key
-///     index and SIMD min-victim scans (core/flat_stream_summary.h):
-///     cache-dense, allocation-free after construction, faster ingest at
-///     practical capacities. Frequency order is recovered by sorting at
-///     query time.
-enum class SummaryLayout : uint8_t { kLinked = 0, kFlat = 1 };
-
-inline const char* SummaryLayoutName(SummaryLayout layout) {
-  return layout == SummaryLayout::kFlat ? "flat" : "linked";
-}
-
 /// One monitored element. `count` is the estimated frequency and is always
 /// an over-estimate for counter-based algorithms with eviction (Space
 /// Saving): true_count <= count <= true_count + error.
@@ -77,14 +58,6 @@ class FrequencySummary {
 
   /// Number of counters currently monitored.
   virtual size_t num_counters() const = 0;
-
-  /// All monitored counters in no particular order. Implementations whose
-  /// storage is unordered (flat layouts, hash-partitioned fleets) override
-  /// this to skip the frequency sort; selection-based consumers
-  /// (QueryEngine::KthFrequency via nth_element) only need the multiset.
-  virtual std::vector<Counter> CountersUnordered() const {
-    return CountersDescending();
-  }
 
   /// Epoch-published query view support. A non-null return is an immutable
   /// PublishedView whose memory stays valid until the matching

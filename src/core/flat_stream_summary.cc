@@ -85,12 +85,6 @@ std::optional<Counter> FlatStreamSummary::Lookup(ElementId e) const {
   return Counter{keys_[slot], freqs_[slot], errors_[slot]};
 }
 
-std::vector<Counter> FlatStreamSummary::CountersUnordered() const {
-  std::vector<Counter> out;
-  AppendCounters(&out);
-  return out;
-}
-
 void FlatStreamSummary::AppendCounters(std::vector<Counter>* out) const {
   out->reserve(out->size() + size_);
   for (size_t i = 0; i < size_; ++i) {
@@ -99,7 +93,8 @@ void FlatStreamSummary::AppendCounters(std::vector<Counter>* out) const {
 }
 
 std::vector<Counter> FlatStreamSummary::CountersDescending() const {
-  std::vector<Counter> out = CountersUnordered();
+  std::vector<Counter> out;
+  AppendCounters(&out);
   std::sort(out.begin(), out.end(), [](const Counter& a, const Counter& b) {
     if (a.count != b.count) return a.count > b.count;
     return a.key < b.key;

@@ -1,9 +1,10 @@
 // Copyright (c) the CoTS reproduction authors.
 //
-// FlatStreamSummary: an array-backed Space Saving summary — the
-// SummaryLayout::kFlat sibling of the linked StreamSummary bucket list
-// (core/stream_summary.h), in the spirit of "One Table to Count Them All"'s
-// single flat counter table.
+// FlatStreamSummary: an array-backed Space Saving summary — the flat
+// sibling of the linked StreamSummary bucket list (core/stream_summary.h)
+// that sequential SpaceSaving runs, in the spirit of "One Table to Count
+// Them All"'s single flat counter table. Callers that want this layout
+// construct it directly, as the fleet's shards do.
 //
 // Layout. Three parallel arrays of exactly m entries (keys / frequencies /
 // errors: structure-of-arrays, so the victim scan touches only the
@@ -67,12 +68,8 @@ class FlatStreamSummary {
   /// the FrequencySummary contract).
   std::vector<Counter> CountersDescending() const;
 
-  /// All monitored counters in slot order, no sort — for selection-based
-  /// consumers (QueryEngine's nth_element fallback) and view builds.
-  std::vector<Counter> CountersUnordered() const;
-
-  /// Appends CountersUnordered() to *out without a temporary — the copy a
-  /// fleet shard makes under its owner flag when a view is folded.
+  /// Appends every monitored counter to *out in slot order, no sort — the
+  /// copy a fleet shard makes under its owner flag when a view is folded.
   void AppendCounters(std::vector<Counter>* out) const;
 
   uint64_t stream_length() const { return n_; }
@@ -81,7 +78,7 @@ class FlatStreamSummary {
 
   /// Exact minimum monitored frequency (0 when empty). Callers that need
   /// the Space Saving bound semantics ("0 while not full") check size()
-  /// against capacity() themselves, as SpaceSaving does.
+  /// against capacity() themselves, as the fleet's shards do.
   uint64_t MinFreq() const;
 
   /// Structural self-check (index <-> arrays consistency and the index's

@@ -37,7 +37,7 @@ class QueryViewLease {
   const PublishedView* view_;
 };
 
-// Fallback selection for layouts without a published view: the k highest
+// Fallback selection for summaries without a published view: the k highest
 // counters in FrequencySummary order without sorting the whole multiset.
 std::vector<Counter> SelectTopK(std::vector<Counter> all, size_t k) {
   if (all.size() > k) {
@@ -111,7 +111,7 @@ FrequentSetResult QueryEngine::FrequentElements(double phi) const {
 std::vector<Counter> QueryEngine::TopK(size_t k) const {
   QueryViewLease lease(summary_);
   if (const PublishedView* v = lease.view()) return v->TopK(k);
-  return SelectTopK(summary_->CountersUnordered(), k);
+  return SelectTopK(summary_->CountersDescending(), k);
 }
 
 QueryEngine::GuaranteedTopK QueryEngine::TopKWithGuarantee(size_t k) const {
@@ -122,7 +122,7 @@ QueryEngine::GuaranteedTopK QueryEngine::TopKWithGuarantee(size_t k) const {
   if (const PublishedView* v = lease.view()) {
     all = v->TopK(k + 1);
   } else {
-    all = SelectTopK(summary_->CountersUnordered(), k + 1);
+    all = SelectTopK(summary_->CountersDescending(), k + 1);
   }
   const uint64_t next_best = all.size() > k ? all[k].count : 0;
   if (all.size() > k) all.resize(k);
@@ -142,7 +142,7 @@ uint64_t QueryEngine::KthFrequency(size_t k) const {
   QueryViewLease lease(summary_);
   if (const PublishedView* v = lease.view()) return v->KthFrequency(k);
   // Selection, not a sort: the k-th order statistic of the counter counts.
-  std::vector<Counter> all = summary_->CountersUnordered();
+  std::vector<Counter> all = summary_->CountersDescending();
   if (all.size() < k) return 0;
   auto kth = all.begin() + static_cast<ptrdiff_t>(k - 1);
   std::nth_element(all.begin(), kth, all.end(), CountDescKeyAsc);

@@ -19,9 +19,8 @@
 // queries become one wait-free hash probe, set queries a prefix copy, all
 // answered from the same immutable snapshot (staleness <= one refresh
 // interval, DESIGN.md §11). Summaries without a view fall back to the live
-// structure, where KthFrequency/TopK now use selection
-// (std::nth_element/partial_sort over CountersUnordered) instead of fully
-// sorting the summary per point query.
+// structure, where KthFrequency/TopK select (std::nth_element/partial_sort)
+// over CountersDescending.
 
 #ifndef COTS_CORE_QUERY_H_
 #define COTS_CORE_QUERY_H_

@@ -20,20 +20,11 @@ Status SpaceSavingOptions::Validate() {
 SpaceSaving::SpaceSaving(const SpaceSavingOptions& options)
     : capacity_(options.capacity) {
   assert(capacity_ > 0 && "call SpaceSavingOptions::Validate() first");
-  if (options.layout == SummaryLayout::kFlat) {
-    flat_ = std::make_unique<FlatStreamSummary>(capacity_);
-    return;  // flat_ carries its own index; the linked members stay empty
-  }
   index_.reserve(capacity_ * 2);
 }
 
 void SpaceSaving::Offer(ElementId e, uint64_t weight) {
   assert(weight > 0);
-  if (flat_) {
-    flat_->Offer(e, weight);
-    n_ += weight;
-    return;
-  }
   n_ += weight;
   auto it = index_.find(e);
   if (it != index_.end()) {
@@ -55,7 +46,6 @@ void SpaceSaving::Offer(ElementId e, uint64_t weight) {
 }
 
 std::optional<Counter> SpaceSaving::Lookup(ElementId e) const {
-  if (flat_) return flat_->Lookup(e);
   auto it = index_.find(e);
   if (it == index_.end()) return std::nullopt;
   const StreamSummary::Node* node = it->second;
@@ -63,7 +53,6 @@ std::optional<Counter> SpaceSaving::Lookup(ElementId e) const {
 }
 
 std::vector<Counter> SpaceSaving::CountersDescending() const {
-  if (flat_) return flat_->CountersDescending();
   std::vector<Counter> out;
   out.reserve(summary_.size());
   for (const StreamSummary::Bucket* b = summary_.MaxBucket(); b != nullptr;
@@ -79,9 +68,6 @@ std::vector<Counter> SpaceSaving::CountersDescending() const {
 }
 
 bool SpaceSaving::CheckInvariants() const {
-  if (flat_) {
-    return flat_->CheckInvariants() && flat_->stream_length() == n_;
-  }
   if (!summary_.CheckInvariants()) return false;
   if (summary_.size() > capacity_) return false;
   if (index_.size() != summary_.size()) return false;

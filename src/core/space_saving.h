@@ -12,19 +12,19 @@
 //   * err(e)  <= floor(N / m)                 (min counter <= N/m)
 //   * every e with true(e) > N/m is monitored (frequent elements are kept)
 //
-// This implementation is the sequential reference the parallel designs are
-// compared against (Table 2), and is the building block of the Independent
-// Structures baseline.
+// This implementation runs on the paper's linked Stream Summary (Fig 2). It
+// is the sequential reference the parallel designs are compared against
+// (Table 2), and is the building block of the Independent Structures
+// baseline. The array-backed layout is FlatStreamSummary
+// (core/flat_stream_summary.h), which callers construct directly.
 
 #ifndef COTS_CORE_SPACE_SAVING_H_
 #define COTS_CORE_SPACE_SAVING_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "core/counter.h"
-#include "core/flat_stream_summary.h"
 #include "core/stream_summary.h"
 #include "util/macros.h"
 #include "util/status.h"
@@ -36,10 +36,6 @@ struct SpaceSavingOptions {
   size_t capacity = 0;
   /// Error bound; used only when capacity == 0, as m = ceil(1 / epsilon).
   double epsilon = 0.0;
-  /// Physical summary layout (see core/counter.h). Both layouts implement
-  /// identical Space Saving semantics; kFlat trades query-time sorting for
-  /// cache-dense updates.
-  SummaryLayout layout = SummaryLayout::kLinked;
 
   /// Resolves capacity/epsilon and rejects unusable combinations.
   Status Validate();
@@ -65,26 +61,13 @@ class SpaceSaving : public FrequencySummary {
   // FrequencySummary:
   std::optional<Counter> Lookup(ElementId e) const override;
   std::vector<Counter> CountersDescending() const override;
-  std::vector<Counter> CountersUnordered() const override {
-    // Flat storage is unordered — skip the query-time sort. The linked
-    // bucket list yields frequency order for free, so there is nothing to
-    // save there.
-    if (flat_) return flat_->CountersUnordered();
-    return CountersDescending();
-  }
   uint64_t stream_length() const override { return n_; }
-  size_t num_counters() const override {
-    return flat_ ? flat_->size() : summary_.size();
-  }
+  size_t num_counters() const override { return summary_.size(); }
 
   size_t capacity() const { return capacity_; }
-  SummaryLayout layout() const {
-    return flat_ ? SummaryLayout::kFlat : SummaryLayout::kLinked;
-  }
   /// Frequency of the minimum counter; 0 while the structure is not full.
   /// Any unmonitored element has true frequency <= this.
   uint64_t MinFreq() const {
-    if (flat_) return flat_->size() < capacity_ ? 0 : flat_->MinFreq();
     return summary_.size() < capacity_ ? 0 : summary_.MinFreq();
   }
 
@@ -94,10 +77,6 @@ class SpaceSaving : public FrequencySummary {
  private:
   size_t capacity_;
   uint64_t n_ = 0;
-  // Exactly one layout is active for the object's lifetime: flat_ non-null
-  // means every operation routes to the flat summary and the linked members
-  // stay empty; otherwise the linked pair below is authoritative.
-  std::unique_ptr<FlatStreamSummary> flat_;
   StreamSummary summary_;
   std::unordered_map<ElementId, StreamSummary::Node*> index_;
 };

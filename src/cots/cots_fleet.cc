@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <new>
 #include <thread>
@@ -78,10 +77,9 @@ CotsFleetOptions ValidatedOptions(CotsFleetOptions options) {
   assert(status.ok() && "invalid CotsFleetOptions");
   (void)status;
   // Release-build clamps: a fleet must never be constructed in a shape
-  // that cannot count or cannot register its own query slot.
+  // that cannot count.
   if (options.num_shards == 0) options.num_shards = 1;
   if (options.engine.capacity == 0) options.engine.capacity = 1;
-  if (options.engine.max_threads < 2) options.engine.max_threads = 2;
   if (options.merge_capacity == 0) {
     options.merge_capacity = options.engine.capacity;
   }
@@ -99,15 +97,7 @@ Status CotsFleetOptions::Validate() {
     return Status::InvalidArgument("num_shards must be at most 4096");
   }
   if (engine.capacity == 0) {
-    if (engine.epsilon <= 0.0 || engine.epsilon >= 1.0) {
-      return Status::InvalidArgument(
-          "either engine.capacity > 0 or engine.epsilon in (0, 1) is "
-          "required");
-    }
-    engine.capacity = static_cast<size_t>(std::ceil(1.0 / engine.epsilon));
-  }
-  if (engine.max_threads <= 1) {
-    return Status::InvalidArgument("engine.max_threads must be at least 2");
+    return Status::InvalidArgument("engine.capacity must be > 0");
   }
   if (merge_capacity == 0) merge_capacity = engine.capacity;
   return Status::OK();
@@ -285,7 +275,7 @@ bool CotsFleet::Shard::CheckInvariants() const {
 CotsFleet::CotsFleet(const CotsFleetOptions& options)
     : options_(ValidatedOptions(options)),
       view_refresh_interval_(options_.view_refresh_interval),
-      view_epochs_(options_.engine.max_threads, kViewRetireBacklog) {
+      view_epochs_(kMaxHandles + 1, kViewRetireBacklog) {
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(options_.engine.capacity));

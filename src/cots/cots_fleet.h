@@ -61,23 +61,23 @@ namespace cots {
 
 /// Settings every fleet shard gets verbatim.
 struct FleetShardOptions {
-  /// Monitored counters per shard (m); derived from epsilon when 0. The
-  /// fleet's total counter budget is num_shards * capacity, and the
-  /// per-shard error bound n_s / capacity only tightens versus a single
-  /// summary fed the whole stream.
+  /// Monitored counters per shard (m); must be > 0. The fleet's total
+  /// counter budget is num_shards * capacity, and the per-shard error bound
+  /// n_s / capacity only tightens versus a single summary fed the whole
+  /// stream.
   size_t capacity = 0;
-  double epsilon = 0.0;
-  /// Upper bound on concurrently registered handles (each holds one slot
-  /// in the fleet's view-reclamation epoch domain).
-  int max_threads = 256;
 };
 
 struct CotsFleetOptions {
   /// Shards; 0 = one per hardware thread.
   size_t num_shards = 0;
-  /// Per-shard configuration (the `engine` name predates flat shards).
+  /// Per-shard configuration. The name predates flat shards; it stays
+  /// because the repository benchmark (perfbench/) sets `engine.capacity`.
   FleetShardOptions engine;
-  /// Counters retained by merged global views; 0 = engine.capacity.
+  /// Counters retained by merged global views; 0 = engine.capacity. Only
+  /// tests set it above the default: at num_shards * engine.capacity a
+  /// view keeps every shard counter, so its counter mass equals its stream
+  /// length and the concurrent view oracles can check that exactly.
   size_t merge_capacity = 0;
   /// Fleet-level occurrences between automatic published-view refreshes
   /// (DESIGN.md §11). Once this many offers have arrived, and at least 8x
@@ -98,6 +98,11 @@ class CotsFleet : public FrequencySummary {
   /// a shard's inbox deeper than this helps drain it and reports
   /// OfferOutcome::kOverloaded.
   static constexpr size_t kBatchDepth = 512;
+
+  /// Concurrently registered handles. Each holds a slot in the fleet's
+  /// view-reclamation epoch domain, whose one further slot is the fleet's
+  /// own query participant.
+  static constexpr int kMaxHandles = 255;
 
   /// One partition: a sequential FlatStreamSummary written only by the
   /// thread holding its owner flag, plus the inbox where producers that
@@ -250,8 +255,8 @@ class CotsFleet : public FrequencySummary {
 
   COTS_DISALLOW_COPY_AND_ASSIGN(CotsFleet);
 
-  /// Registers the calling thread. Returns nullptr when engine.max_threads
-  /// handles are already registered.
+  /// Registers the calling thread. Returns nullptr when kMaxHandles handles
+  /// are already registered.
   std::unique_ptr<ThreadHandle> RegisterThread();
 
   /// Quiesces the fleet: wins the fleet-level handshake (subsequent offers

@@ -92,12 +92,6 @@ TEST_F(CotsFleetTest, OptionsValidate) {
   EXPECT_GE(opt.num_shards, 1u);  // derived from hardware threads
   EXPECT_EQ(opt.merge_capacity, 8u);
 
-  CotsFleetOptions from_epsilon;
-  from_epsilon.num_shards = 2;
-  from_epsilon.engine.epsilon = 0.01;
-  EXPECT_TRUE(from_epsilon.Validate().ok());
-  EXPECT_EQ(from_epsilon.engine.capacity, 100u);
-
   CotsFleetOptions bad;
   bad.num_shards = 5000;
   bad.engine.capacity = 8;
@@ -105,8 +99,29 @@ TEST_F(CotsFleetTest, OptionsValidate) {
 
   CotsFleetOptions bad_engine;
   bad_engine.num_shards = 2;
-  bad_engine.engine.capacity = 0;  // and no epsilon
+  bad_engine.engine.capacity = 0;
   EXPECT_FALSE(bad_engine.Validate().ok());
+}
+
+// The handle limit: the view epoch domain has a slot for each of
+// kMaxHandles (255) handles beside the fleet's own query participant.
+// Registering past the limit returns nullptr (ingest_server then reports
+// "fleet session limit reached"), and a destroyed handle frees its slot.
+// Every handle is registered from this thread; no thread is started.
+TEST_F(CotsFleetTest, HandleLimitRefusesThenReusesFreedSlots) {
+  CotsFleet fleet(MakeOptions(/*shards=*/2, /*capacity=*/8));
+  std::vector<std::unique_ptr<CotsFleet::ThreadHandle>> handles;
+  for (int i = 0; i < CotsFleet::kMaxHandles; ++i) {
+    handles.push_back(fleet.RegisterThread());
+    ASSERT_NE(handles.back(), nullptr) << "handle " << i;
+  }
+  EXPECT_EQ(handles.size(), 255u);
+  EXPECT_EQ(fleet.RegisterThread(), nullptr);
+
+  handles.pop_back();
+  handles.push_back(fleet.RegisterThread());
+  EXPECT_NE(handles.back(), nullptr);
+  EXPECT_EQ(fleet.RegisterThread(), nullptr);
 }
 
 TEST_F(CotsFleetTest, ShardRoutingIsDeterministicAndInRange) {

@@ -3,9 +3,10 @@
 // Coverage for the flat (array-backed) summary layout, in three layers:
 // the SIMD scan wrappers against their scalar reference at every boundary
 // shape, FlatStreamSummary's Space Saving semantics (including victim
-// selection at SIMD group boundaries), and the layout selected through
-// SpaceSaving / merges against exact_counter ground truth — mirroring
-// stream_summary_test.cc so both layouts carry the same proof obligations.
+// selection at SIMD group boundaries), and FlatStreamSummary against
+// exact_counter ground truth, the linked SpaceSaving, and merges —
+// mirroring stream_summary_test.cc so both layouts carry the same proof
+// obligations.
 
 #include "core/flat_stream_summary.h"
 
@@ -235,8 +236,13 @@ TEST(FlatStreamSummaryTest, IndexSurvivesHeavyEvictionChurn) {
   }
 }
 
-// ---- Space Saving contract via SpaceSaving(kFlat) vs exact ground truth,
+// ---- Space Saving contract of FlatStreamSummary vs exact ground truth,
 // mirroring the linked layout's property tests ----
+
+// The Space Saving bound on any unmonitored key: 0 while not full.
+uint64_t BoundOf(const FlatStreamSummary& s) {
+  return s.size() < s.capacity() ? 0 : s.MinFreq();
+}
 
 TEST(FlatLayoutPropertyTest, SpaceSavingGuaranteesOnRandomizedStreams) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
@@ -250,12 +256,8 @@ TEST(FlatLayoutPropertyTest, SpaceSavingGuaranteesOnRandomizedStreams) {
     ExactCounter exact(stream);
 
     const size_t capacity = 8 + static_cast<size_t>(rng() % 120);
-    SpaceSavingOptions opt;
-    opt.capacity = capacity;
-    opt.layout = SummaryLayout::kFlat;
-    ASSERT_TRUE(opt.Validate().ok());
-    SpaceSaving ss(opt);
-    ss.Process(stream);
+    FlatStreamSummary ss(capacity);
+    for (ElementId e : stream) ss.Offer(e);
 
     SCOPED_TRACE(testing::Message() << "seed=" << seed << " capacity="
                                     << capacity << " n=" << n);
@@ -277,7 +279,7 @@ TEST(FlatLayoutPropertyTest, SpaceSavingGuaranteesOnRandomizedStreams) {
 
     // Frequent elements (true > N/m) are monitored; unmonitored keys are
     // bounded by MinFreq.
-    const uint64_t min_freq = ss.MinFreq();
+    const uint64_t min_freq = BoundOf(ss);
     for (const auto& [key, truth] : exact.counts()) {
       if (!ss.Lookup(key).has_value()) {
         EXPECT_LE(truth, n / capacity) << "frequent key " << key << " lost";
@@ -287,44 +289,51 @@ TEST(FlatLayoutPropertyTest, SpaceSavingGuaranteesOnRandomizedStreams) {
   }
 }
 
-// Both layouts run the same algorithm; on a stream whose frequencies are
-// unique at eviction time (no tie-breaking freedom), they must produce
-// identical counters.
+// Both layouts run the same algorithm: the linked SpaceSaving and
+// FlatStreamSummary, fed identical offers over a key universe 8x the
+// capacity, must produce identical counters while no eviction had a tie to
+// break. Weights drawn from [1, 2^32] keep every frequency unique, so every
+// victim is the one minimum and every snapshot is compared; small weights
+// tie at once, and a tied eviction lets the layouts pick different victims.
 TEST(FlatLayoutPropertyTest, LayoutsAgreeWhenEvictionIsUnambiguous) {
-  SpaceSavingOptions linked_opt;
-  linked_opt.capacity = 8;
-  ASSERT_TRUE(linked_opt.Validate().ok());
-  SpaceSavingOptions flat_opt = linked_opt;
-  flat_opt.layout = SummaryLayout::kFlat;
-  SpaceSaving linked(linked_opt), flat(flat_opt);
+  for (const size_t capacity : {size_t{1}, size_t{2}, size_t{8}, size_t{64}}) {
+    SCOPED_TRACE(testing::Message() << "capacity=" << capacity);
+    SpaceSavingOptions linked_opt;
+    linked_opt.capacity = capacity;
+    ASSERT_TRUE(linked_opt.Validate().ok());
+    SpaceSaving linked(linked_opt);
+    FlatStreamSummary flat(capacity);
 
-  Xoshiro256 rng(42);
-  // Distinct geometric weights keep all frequencies unique.
-  for (int i = 0; i < 2000; ++i) {
-    const ElementId e = 1 + rng.NextBounded(64);
-    const uint64_t w = 1 + 2 * rng.NextBounded(5);
-    // Same offers to both, with a per-offer unique tweak avoided: identical
-    // inputs are the point.
-    linked.Offer(e, w);
-    flat.Offer(e, w);
-    if (i % 97 == 0) {
-      // Periodically compare full snapshots where frequencies are unique.
-      std::vector<Counter> lc = linked.CountersDescending();
-      std::vector<Counter> fc = flat.CountersDescending();
-      ASSERT_EQ(lc.size(), fc.size());
-      bool unique = true;
-      for (size_t k = 1; k < lc.size(); ++k) {
-        if (lc[k].count == lc[k - 1].count) unique = false;
-      }
-      if (unique) {
-        for (size_t k = 0; k < lc.size(); ++k) {
-          EXPECT_EQ(lc[k].key, fc[k].key) << "i=" << i << " k=" << k;
-          EXPECT_EQ(lc[k].count, fc[k].count) << "i=" << i << " k=" << k;
+    Xoshiro256 rng(42);
+    size_t compared = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const ElementId e = 1 + rng.NextBounded(8 * capacity);
+      const uint64_t w = 1 + rng.NextBounded(uint64_t{1} << 32);
+      linked.Offer(e, w);
+      flat.Offer(e, w);
+      if (i % 97 == 0) {
+        // Periodically compare full snapshots where frequencies are unique.
+        std::vector<Counter> lc = linked.CountersDescending();
+        std::vector<Counter> fc = flat.CountersDescending();
+        ASSERT_EQ(lc.size(), fc.size());
+        bool unique = true;
+        for (size_t k = 1; k < lc.size(); ++k) {
+          if (lc[k].count == lc[k - 1].count) unique = false;
+        }
+        if (unique) {
+          ++compared;
+          for (size_t k = 0; k < lc.size(); ++k) {
+            EXPECT_EQ(lc[k].key, fc[k].key) << "i=" << i << " k=" << k;
+            EXPECT_EQ(lc[k].count, fc[k].count) << "i=" << i << " k=" << k;
+            EXPECT_EQ(lc[k].error, fc[k].error) << "i=" << i << " k=" << k;
+          }
         }
       }
     }
+    EXPECT_EQ(linked.stream_length(), flat.stream_length());
+    // No capacity may pass without comparing anything.
+    EXPECT_GE(compared, 1u);
   }
-  EXPECT_EQ(linked.stream_length(), flat.stream_length());
 }
 
 // ---- Merges (both modes) over flat parts vs exact ground truth ----
@@ -340,13 +349,9 @@ TEST(FlatLayoutPropertyTest, MergesPreserveBoundsInBothModes) {
   constexpr uint64_t kParts = 4;
   constexpr size_t kCapacity = 48;
   for (MergeMode mode : {MergeMode::kOverlapping, MergeMode::kDisjoint}) {
-    std::vector<std::unique_ptr<SpaceSaving>> parts;
+    std::vector<std::unique_ptr<FlatStreamSummary>> parts;
     for (uint64_t p = 0; p < kParts; ++p) {
-      SpaceSavingOptions opt;
-      opt.capacity = kCapacity;
-      opt.layout = SummaryLayout::kFlat;
-      EXPECT_TRUE(opt.Validate().ok());
-      parts.push_back(std::make_unique<SpaceSaving>(opt));
+      parts.push_back(std::make_unique<FlatStreamSummary>(kCapacity));
     }
     std::mt19937_64 assign(99);
     for (size_t i = 0; i < stream.size(); ++i) {
@@ -354,12 +359,17 @@ TEST(FlatLayoutPropertyTest, MergesPreserveBoundsInBothModes) {
                                                       : assign() % kParts;
       parts[p]->Offer(stream[i]);
     }
-    std::vector<const FrequencySummary*> views;
+    // Merges read FrequencySummary parts: snapshot each flat part.
+    std::vector<CounterSet> snapshots;
     std::vector<uint64_t> mins;
     for (const auto& part : parts) {
-      views.push_back(part.get());
-      mins.push_back(part->MinFreq());
+      const uint64_t bound = BoundOf(*part);
+      snapshots.emplace_back(part->CountersDescending(), bound,
+                             part->stream_length());
+      mins.push_back(bound);
     }
+    std::vector<const FrequencySummary*> views;
+    for (const CounterSet& c : snapshots) views.push_back(&c);
     for (bool hierarchical : {false, true}) {
       CounterSet merged =
           hierarchical ? MergeHierarchical(views, mins, kCapacity, mode)

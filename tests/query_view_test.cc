@@ -41,7 +41,6 @@ CotsFleetOptions SmallFleet(uint64_t view_refresh_interval = 0) {
   CotsFleetOptions options;
   options.num_shards = 4;
   options.engine.capacity = 32;
-  options.engine.max_threads = 16;
   // Keep the whole fleet budget in merged views so per-key assertions see
   // every monitored counter (default truncates to engine.capacity), and a
   // view's counter mass equals its stream length.

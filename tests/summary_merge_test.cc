@@ -6,6 +6,7 @@
 #include <random>
 #include <vector>
 
+#include "core/flat_stream_summary.h"
 #include "core/space_saving.h"
 #include "stream/exact_counter.h"
 #include "stream/zipf_generator.h"
@@ -245,19 +246,19 @@ TEST(MergeTest, RandomSplitsPreserveBoundsAfterTruncation) {
 
     const uint64_t parts_count = 2 + rng() % 6;
     const size_t capacity = 16 + static_cast<size_t>(rng() % 48);
-    // Both physical layouts feed the same merge machinery through the
-    // FrequencySummary interface; the contract may not depend on which one
-    // produced the parts (tie-breaking during eviction differs, the bounds
-    // may not).
-    for (SummaryLayout layout : {SummaryLayout::kLinked, SummaryLayout::kFlat})
+    // Both physical layouts feed the same merge machinery: linked
+    // SpaceSaving parts directly, FlatStreamSummary parts as CounterSet
+    // snapshots. The contract may not depend on which one produced the
+    // parts (tie-breaking during eviction differs, the bounds may not).
     for (MergeMode mode : {MergeMode::kOverlapping, MergeMode::kDisjoint}) {
-      std::vector<std::unique_ptr<SpaceSaving>> parts;
+      std::vector<std::unique_ptr<SpaceSaving>> linked;
+      std::vector<std::unique_ptr<FlatStreamSummary>> flat;
       for (uint64_t p = 0; p < parts_count; ++p) {
         SpaceSavingOptions sso;
         sso.capacity = capacity;
-        sso.layout = layout;
         ASSERT_TRUE(sso.Validate().ok());
-        parts.push_back(std::make_unique<SpaceSaving>(sso));
+        linked.push_back(std::make_unique<SpaceSaving>(sso));
+        flat.push_back(std::make_unique<FlatStreamSummary>(capacity));
       }
       std::mt19937_64 assign(seed);
       for (size_t i = 0; i < s.size(); ++i) {
@@ -267,23 +268,36 @@ TEST(MergeTest, RandomSplitsPreserveBoundsAfterTruncation) {
         const uint64_t p = mode == MergeMode::kDisjoint
                                ? s[i] % parts_count
                                : assign() % parts_count;
-        parts[p]->Offer(s[i]);
+        linked[p]->Offer(s[i]);
+        flat[p]->Offer(s[i]);
       }
 
-      std::vector<const FrequencySummary*> views;
-      std::vector<uint64_t> mins;
-      for (const auto& part : parts) {
-        views.push_back(part.get());
-        mins.push_back(part->MinFreq());
+      std::vector<CounterSet> flat_snapshots;
+      std::vector<const FrequencySummary*> linked_views, flat_views;
+      std::vector<uint64_t> linked_mins, flat_mins;
+      for (uint64_t p = 0; p < parts_count; ++p) {
+        linked_views.push_back(linked[p].get());
+        linked_mins.push_back(linked[p]->MinFreq());
+        // The Space Saving bound on unmonitored keys: 0 while not full.
+        const uint64_t bound =
+            flat[p]->size() < capacity ? 0 : flat[p]->MinFreq();
+        flat_snapshots.emplace_back(flat[p]->CountersDescending(), bound,
+                                    flat[p]->stream_length());
+        flat_mins.push_back(bound);
       }
+      for (const CounterSet& c : flat_snapshots) flat_views.push_back(&c);
+
+      for (const bool use_flat : {false, true})
       for (bool hierarchical : {false, true}) {
+        const auto& views = use_flat ? flat_views : linked_views;
+        const auto& mins = use_flat ? flat_mins : linked_mins;
         CounterSet merged =
             hierarchical ? MergeHierarchical(views, mins, capacity, mode)
                          : MergeSerial(views, mins, capacity, mode);
         SCOPED_TRACE(testing::Message()
                      << "seed=" << seed << " parts=" << parts_count
                      << " capacity=" << capacity << " layout="
-                     << SummaryLayoutName(layout) << " mode="
+                     << (use_flat ? "flat" : "linked") << " mode="
                      << (mode == MergeMode::kDisjoint ? "disjoint"
                                                       : "overlapping")
                      << (hierarchical ? " hierarchical" : " serial"));
