@@ -17,7 +17,7 @@
 //     exits immediately.
 //
 // Overload model (DESIGN.md §13): an AdmissionController is sampled on a
-// 50 ms tick from the shard inbox depths and kOverloaded offer outcomes.
+// 50 ms tick from the shard queue depths and kOverloaded offer outcomes.
 // While it reports Shedding the server keeps reading (never stalls the
 // kernel buffers) but routes decoded batches to CotsFleet::Shed() —
 // absorbed into the error bounds, not the counters — and answers each
@@ -660,8 +660,8 @@ class IngestServer {
     return admission_.ShouldShed();
   }
 
-  // Feeds the controller one sample: worst shard backlog (elements
-  // waiting in a shard inbox) and the fleet's deadline-miss count. Runs on
+  // Feeds the controller one sample: worst shard backlog (entries
+  // waiting in a shard's rings) and the fleet's deadline-miss count. Runs on
   // the tick — never on the per-offer path.
   void SampleAdmission() {
     if (forced_shed_) return;  // the forced window owns the state

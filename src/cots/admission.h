@@ -2,8 +2,8 @@
 //
 // Overload admission control (DESIGN.md §13).
 //
-// The fleet itself never blocks and never lies: a shard whose inbox has
-// fallen more than a batch behind makes CotsFleet's OfferBatchBounded
+// The fleet itself never blocks and never lies: a shard so far behind that
+// a producer's ring into it is full makes CotsFleet's OfferBatchBounded
 // report OfferOutcome::kOverloaded (the batch is still fully counted), and
 // shed traffic is absorbed into a per-shard shed_weight that widens every
 // published bound. What the fleet does NOT decide is *when* to stop
@@ -37,9 +37,9 @@ enum class OfferOutcome : uint8_t {
   /// The batch was fully counted and the shard kept up.
   kAccepted = 0,
   /// The batch was STILL fully counted (all-or-nothing is preserved, so
-  /// conservation needs no special case), but it found a shard's inbox
-  /// more than CotsFleet::kBatchDepth elements deep — the shard is not
-  /// keeping up and the caller should back off or start shedding.
+  /// conservation needs no special case), but it found its ring into a
+  /// shard full — the shard is not keeping up and the caller should back
+  /// off or start shedding.
   kOverloaded = 1,
   /// The fleet is draining or stopped; nothing was counted.
   kRefused = 2,

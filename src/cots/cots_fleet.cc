@@ -66,10 +66,10 @@ constexpr uint64_t kPublishPacing = 8;
 constexpr size_t kViewRetireBacklog = 2;
 
 // A holder that keeps a shard's flag this long is treated as stalled
-// (preempted or wedged): a producer waiting to help a backlogged shard
-// hands its run off instead, and an automatic refresh gives up and stays
-// due for the next offer. Producers therefore never wait on a stalled
-// shard for longer than this.
+// (preempted or wedged): a producer whose ring into the shard is full stops
+// waiting and overflows its run instead, and an automatic refresh gives up
+// and stays due for the next offer. Producers therefore never wait on a
+// stalled shard for longer than this.
 constexpr uint64_t kStallPatienceNs = 200'000;
 
 CotsFleetOptions ValidatedOptions(CotsFleetOptions options) {
@@ -106,21 +106,29 @@ Status CotsFleetOptions::Validate() {
 // ---------------------------------------------------------------------------
 // Shard
 
-// A handed-off run: `count` elements, each offered with `weight`, stored
-// inline after the header (one allocation per hand-off; the uncontended
-// path never allocates).
+// One producer slot's hand-offs into one shard: a single-producer ring of
+// weighted keys. The producer writes entries past `tail` while routing and
+// publishes them with one store; whoever holds the shard's flag applies
+// them and advances `head`. The two indexes sit on separate lines.
+struct CotsFleet::Shard::Ring {
+  COTS_CACHE_ALIGNED std::atomic<uint64_t> tail{0};
+  COTS_CACHE_ALIGNED std::atomic<uint64_t> head{0};
+  COTS_CACHE_ALIGNED WeightedKey entries[kRingEntries];
+};
+
+// A run a stalled holder left no ring room for: `count` weighted keys
+// stored inline after the header. Only the overflow path allocates.
 struct CotsFleet::Shard::Run {
   Run* next;
-  uint64_t weight;
   size_t count;
 
-  ElementId* elements() { return reinterpret_cast<ElementId*>(this + 1); }
+  WeightedKey* keys() { return reinterpret_cast<WeightedKey*>(this + 1); }
 
-  static Run* Make(const ElementId* elements, size_t count, uint64_t weight) {
-    static_assert(sizeof(Run) % alignof(ElementId) == 0);
-    void* mem = ::operator new(sizeof(Run) + count * sizeof(ElementId));
-    Run* run = new (mem) Run{nullptr, weight, count};
-    std::memcpy(run->elements(), elements, count * sizeof(ElementId));
+  static Run* Make(const std::vector<WeightedKey>& keys) {
+    static_assert(sizeof(Run) % alignof(WeightedKey) == 0);
+    void* mem = ::operator new(sizeof(Run) + keys.size() * sizeof(WeightedKey));
+    Run* run = new (mem) Run{nullptr, keys.size()};
+    std::memcpy(run->keys(), keys.data(), keys.size() * sizeof(WeightedKey));
     return run;
   }
   static void Free(Run* run) {
@@ -129,23 +137,60 @@ struct CotsFleet::Shard::Run {
   }
 };
 
-CotsFleet::Shard::Shard(size_t capacity) : summary_(capacity) {}
+CotsFleet::Shard::Shard(size_t capacity)
+    : summary_(capacity),
+      rings_(new std::atomic<Ring*>[kMaxHandles]) {
+  for (int p = 0; p < kMaxHandles; ++p) {
+    rings_[p].store(nullptr, std::memory_order_relaxed);
+  }
+}
 
 CotsFleet::Shard::~Shard() {
-  // The fleet's destructor stops it first, which empties every inbox; this
-  // only guards a shard destroyed some other way.
-  for (Run* run = inbox_.load(std::memory_order_acquire); run != nullptr;) {
+  // The fleet's destructor stops it first, which drains everything; the
+  // overflow walk only guards a shard destroyed some other way.
+  for (Run* run = overflow_.load(std::memory_order_acquire); run != nullptr;) {
     Run* next = run->next;
     Run::Free(run);
     run = next;
   }
+  for (int p = 0; p < kMaxHandles; ++p) {
+    delete rings_[p].load(std::memory_order_acquire);
+  }
+}
+
+CotsFleet::Shard::Ring* CotsFleet::Shard::RingOf(int slot) {
+  Ring* ring = rings_[slot].load(std::memory_order_acquire);
+  if (ring != nullptr) return ring;
+  ring = new Ring();
+  rings_[slot].store(ring, std::memory_order_release);
+  // Drainers scan slots below ring_span_. The span only grows, so a ring
+  // left non-empty by a departed producer is still drained.
+  int span = ring_span_.load(std::memory_order_relaxed);
+  while (span <= slot && !ring_span_.compare_exchange_weak(
+                             span, slot + 1, std::memory_order_seq_cst)) {
+  }
+  return ring;
+}
+
+size_t CotsFleet::Shard::queue_depth() const {
+  uint64_t depth = overflow_depth_.load(std::memory_order_relaxed);
+  const int span = ring_span_.load(std::memory_order_acquire);
+  for (int p = 0; p < span; ++p) {
+    const Ring* ring = rings_[p].load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    const uint64_t head = ring->head.load(std::memory_order_acquire);
+    const uint64_t tail = ring->tail.load(std::memory_order_acquire);
+    if (tail > head) depth += tail - head;
+  }
+  return static_cast<size_t>(depth);
 }
 
 bool CotsFleet::Shard::Acquire(uint64_t deadline_ns) const {
   if (!TryAcquire()) {
-    // Announce the wait: a releasing holder then leaves a non-empty inbox
-    // to us instead of re-taking the flag to drain it, so a busy shard's
-    // holder cannot starve a reader or publisher by chaining drains.
+    // Announce the wait: a releasing holder then leaves what is pending to
+    // us instead of re-taking the flag to drain it, and an owner leaves the
+    // shard out of its next offer, so a busy shard cannot starve a reader
+    // or publisher.
     waiters_.fetch_add(1, std::memory_order_seq_cst);
     bool acquired = false;
     for (uint32_t spins = 1; !(acquired = TryAcquire()); ++spins) {
@@ -156,27 +201,45 @@ bool CotsFleet::Shard::Acquire(uint64_t deadline_ns) const {
     }
     waiters_.fetch_sub(1, std::memory_order_seq_cst);
     if (!acquired) {
-      // Holders may have skipped their inbox re-check on our account;
-      // take that duty back before giving up.
+      // Holders may have skipped their re-check on our account; take that
+      // duty back before giving up.
       if (TryAcquire()) Release();
       return false;
     }
   }
-  // Runs handed off before this call are applied before the caller reads.
-  DrainInbox();
+  // Entries handed off before this call are applied before the caller
+  // reads.
+  Drain();
   return true;
 }
 
-void CotsFleet::Shard::Apply(const ElementId* elements, size_t count,
-                             uint64_t weight) const {
-  for (size_t i = 0; i < count; ++i) summary_.Offer(elements[i], weight);
+void CotsFleet::Shard::Apply(const WeightedKey* keys, size_t count) const {
+  for (size_t i = 0; i < count; ++i) summary_.Offer(keys[i].key, keys[i].weight);
 }
 
-void CotsFleet::Shard::DrainInbox() const {
-  if (inbox_.load(std::memory_order_relaxed) == nullptr) return;
-  Run* run = inbox_.exchange(nullptr, std::memory_order_acquire);
-  // The inbox is a LIFO push list; reverse it so runs apply in hand-off
-  // order (each producer's runs into this shard stay in arrival order).
+void CotsFleet::Shard::Drain() const {
+  const int span = ring_span_.load(std::memory_order_acquire);
+  for (int p = 0; p < span; ++p) {
+    Ring* ring = rings_[p].load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    const uint64_t tail = ring->tail.load(std::memory_order_acquire);
+    uint64_t head = ring->head.load(std::memory_order_relaxed);
+    if (head == tail) continue;
+    for (; head != tail; ++head) {
+      const WeightedKey& k = ring->entries[head % kRingEntries];
+      summary_.Offer(k.key, k.weight);
+      // Hand room back as we go: a producer waiting on a full ring resumes
+      // after 64 entries, not after the whole backlog.
+      if (head % 64 == 63) {
+        ring->head.store(head + 1, std::memory_order_release);
+      }
+    }
+    ring->head.store(head, std::memory_order_release);
+  }
+  if (overflow_.load(std::memory_order_relaxed) == nullptr) return;
+  Run* run = overflow_.exchange(nullptr, std::memory_order_acquire);
+  // The overflow is a LIFO push list; reverse it so runs apply in hand-off
+  // order.
   Run* fifo = nullptr;
   uint64_t drained = 0;
   while (run != nullptr) {
@@ -187,48 +250,49 @@ void CotsFleet::Shard::DrainInbox() const {
   }
   while (fifo != nullptr) {
     Run* next = fifo->next;
-    Apply(fifo->elements(), fifo->count, fifo->weight);
+    Apply(fifo->keys(), fifo->count);
     drained += fifo->count;
     Run::Free(fifo);
     fifo = next;
   }
-  inbox_depth_.fetch_sub(drained, std::memory_order_relaxed);
+  overflow_depth_.fetch_sub(drained, std::memory_order_relaxed);
+}
+
+bool CotsFleet::Shard::Pending() const {
+  if (overflow_.load(std::memory_order_seq_cst) != nullptr) return true;
+  const int span = ring_span_.load(std::memory_order_seq_cst);
+  for (int p = 0; p < span; ++p) {
+    const Ring* ring = rings_[p].load(std::memory_order_acquire);
+    if (ring != nullptr && ring->tail.load(std::memory_order_seq_cst) !=
+                               ring->head.load(std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void CotsFleet::Shard::Release() const {
   for (;;) {
-    DrainInbox();
+    Drain();
     n_.store(summary_.stream_length(), std::memory_order_relaxed);
     size_.store(summary_.size(), std::memory_order_relaxed);
     // Still inside the critical section: a wedge here holds the flag, and
-    // a yield here widens the window in which a run is pushed after the
-    // last drain.
+    // a yield here widens the window in which an entry is published after
+    // the last drain.
     COTS_FAILPOINT("fleet.shard_hold");
-    // Dekker pairing with Push: release the flag, then look at the inbox
-    // (both seq_cst); a pusher pushes, then looks at the flag. At least
-    // one side sees the other, so a run pushed while we held the flag is
-    // drained either here or by the pusher's own retry.
+    // Dekker pairing with a producer's publish: release the flag, then
+    // look at the rings (both seq_cst); a producer publishes its ring,
+    // then looks at the flag. At least one side sees the other, so an
+    // entry published while we held the flag is drained either here or by
+    // the producer itself.
     owner_.store(false, std::memory_order_seq_cst);
-    if (inbox_.load(std::memory_order_seq_cst) == nullptr) return;
+    if (!Pending()) return;
     // A waiter takes the flag next and drains on acquiring (or, giving
     // up, re-checks as we would); someone else holding the flag now
-    // drains it on their release.
+    // drains on their release.
     if (waiters_.load(std::memory_order_seq_cst) != 0) return;
     if (!TryAcquire()) return;
   }
-}
-
-uint64_t CotsFleet::Shard::Push(Run* run) {
-  // Depth first, so a concurrent drain can never subtract a run's count
-  // before it was added.
-  const uint64_t queued =
-      inbox_depth_.fetch_add(run->count, std::memory_order_relaxed);
-  Run* head = inbox_.load(std::memory_order_relaxed);
-  do {
-    run->next = head;
-  } while (!inbox_.compare_exchange_weak(head, run, std::memory_order_seq_cst,
-                                         std::memory_order_relaxed));
-  return queued;
 }
 
 std::optional<Counter> CotsFleet::Shard::Lookup(ElementId e) const {
@@ -255,18 +319,17 @@ uint64_t CotsFleet::Shard::MinFreq() const {
 }
 
 bool CotsFleet::Shard::CheckInvariants() const {
-  // Read before Acquire, which would drain it: a stopped fleet must have
-  // left nothing behind.
-  const bool inbox_empty =
-      inbox_.load(std::memory_order_acquire) == nullptr &&
-      inbox_depth_.load(std::memory_order_relaxed) == 0;
+  // Read before Acquire, which would drain: a stopped fleet must have left
+  // nothing behind.
+  const bool drained = queue_depth() == 0 &&
+                       overflow_.load(std::memory_order_acquire) == nullptr;
   Acquire();
   const bool ok = summary_.CheckInvariants() &&
                   n_.load(std::memory_order_relaxed) ==
                       summary_.stream_length() &&
                   size_.load(std::memory_order_relaxed) == summary_.size();
   Release();
-  return ok && inbox_empty;
+  return ok && drained;
 }
 
 // ---------------------------------------------------------------------------
@@ -275,6 +338,7 @@ bool CotsFleet::Shard::CheckInvariants() const {
 CotsFleet::CotsFleet(const CotsFleetOptions& options)
     : options_(ValidatedOptions(options)),
       view_refresh_interval_(options_.view_refresh_interval),
+      slot_taken_(kMaxHandles, false),
       view_epochs_(kMaxHandles + 1, kViewRetireBacklog) {
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
@@ -309,6 +373,26 @@ std::unique_ptr<CotsFleet::ThreadHandle> CotsFleet::RegisterThread() {
   return std::unique_ptr<ThreadHandle>(new ThreadHandle(this, participant));
 }
 
+int CotsFleet::TakeProducerSlot() {
+  std::lock_guard<std::mutex> lock(slots_mu_);
+  // Handles are limited to kMaxHandles, so a free slot always exists.
+  const int slot = static_cast<int>(
+      std::find(slot_taken_.begin(), slot_taken_.end(), false) -
+      slot_taken_.begin());
+  slot_taken_[static_cast<size_t>(slot)] = true;
+  producer_span_.store(std::max(slot + 1, producer_span_.load()),
+                       std::memory_order_relaxed);
+  return slot;
+}
+
+void CotsFleet::ReturnProducerSlot(int slot) {
+  std::lock_guard<std::mutex> lock(slots_mu_);
+  slot_taken_[static_cast<size_t>(slot)] = false;
+  int span = producer_span_.load(std::memory_order_relaxed);
+  while (span > 0 && !slot_taken_[static_cast<size_t>(span - 1)]) --span;
+  producer_span_.store(span, std::memory_order_relaxed);
+}
+
 void CotsFleet::Stop() {
   EngineState expected = EngineState::kRunning;
   if (!state_.compare_exchange_strong(expected, EngineState::kDraining,
@@ -326,8 +410,8 @@ void CotsFleet::Stop() {
     COTS_FAILPOINT("fleet.drain_wait");
     std::this_thread::yield();
   }
-  // No offer is in flight, so no run can be pushed any more; whatever a
-  // holder's Dekker check left behind is applied here.
+  // No offer is in flight, so nothing can be handed off any more; whatever
+  // a holder's Dekker check left behind is applied here.
   for (const auto& shard : shards_) {
     shard->Acquire();
     COTS_FAILPOINT("fleet.stop_drain");
@@ -336,63 +420,193 @@ void CotsFleet::Stop() {
   state_.store(EngineState::kStopped, std::memory_order_release);
 }
 
-bool CotsFleet::TryApply(size_t s, const ElementId* elements, size_t count,
-                         uint64_t weight) {
-  Shard& shard = *shards_[s];
-  if (!shard.TryAcquire()) return false;
-  // Runs handed off before ours go first (per-producer order).
-  shard.DrainInbox();
-  ApplyHeld(shard, elements, count, weight);
-  return true;
-}
-
-void CotsFleet::ApplyHeld(Shard& shard, const ElementId* elements,
-                          size_t count, uint64_t weight) {
-  COTS_TRACE_SPAN(span, "fleet.shard_run");
-  span.SetArg(count);
-  shard.Apply(elements, count, weight);
-  shard.Release();
-}
-
-bool CotsFleet::HandOff(Shard& shard, const ElementId* elements,
-                        size_t count, uint64_t weight) {
-  const uint64_t queued =
-      shard.Push(Shard::Run::Make(elements, count, weight));
-  COTS_TRACE_INSTANT_ARG("fleet.handoff", count);
-  COTS_COUNTER_INC("fleet.handoffs");
-  COTS_FAILPOINT("fleet.handoff_retry");
-  // The holder may have released before our push landed; if the flag is
-  // free now, the run is ours to apply.
-  if (shard.TryAcquire()) shard.Release();
-  return queued > kBatchDepth;
-}
-
-bool CotsFleet::Dispatch(size_t s, const ElementId* elements, size_t count,
-                         uint64_t weight) {
-  Shard& shard = *shards_[s];
-  if (shard.queue_depth() <= kBatchDepth) {
-    if (TryApply(s, elements, count, weight)) return false;
-    return HandOff(shard, elements, count, weight);  // delegate, move on
-  }
-  // More than a batch is already waiting: the shard is not keeping up, and
-  // piling on would only grow its backlog. Wait to take the flag (draining
-  // the backlog on the way in) — unless the holder looks stalled, in which
-  // case hand off after all. Either way the batch reports the overload.
-  if (shard.Acquire(NowNanos() + kStallPatienceNs)) {
-    ApplyHeld(shard, elements, count, weight);
-  } else {
-    HandOff(shard, elements, count, weight);
-  }
-  return true;
-}
+// ---------------------------------------------------------------------------
+// Ingest
 
 CotsFleet::ThreadHandle::ThreadHandle(CotsFleet* fleet,
                                       EpochParticipant* participant)
-    : fleet_(fleet), view_participant_(participant),
-      route_(fleet->num_shards()) {}
+    : fleet_(fleet), view_participant_(participant) {}
 
 CotsFleet::ThreadHandle::~ThreadHandle() {
+  // Entries this slot left in its rings stay owned by the shards' Dekker
+  // pairings, and the rings stay scanned; the next holder of the slot
+  // writes on after them.
+  if (slot_ >= 0) fleet_->ReturnProducerSlot(slot_);
   fleet_->view_epochs_.Unregister(view_participant_);
+}
+
+void CotsFleet::ThreadHandle::TakeSlot() {
+  slot_ = fleet_->TakeProducerSlot();
+  const size_t shards = fleet_->num_shards();
+  lanes_.assign(shards, Lane::kUntouched);
+  runs_.resize(shards);
+  rings_.assign(shards, RingCursor{});
+  for (size_t s = 0; s < shards; ++s) {
+    // A ring left by the slot's previous holder: continue after its
+    // entries (the slot lock ordered its last publish before us).
+    RingCursor& c = rings_[s];
+    c.ring = fleet_->shards_[s]->rings_[slot_].load(std::memory_order_acquire);
+    if (c.ring != nullptr) {
+      c.tail = c.published = c.limit =
+          c.ring->tail.load(std::memory_order_relaxed);
+    }
+  }
+}
+
+void CotsFleet::ThreadHandle::ClaimOwnShards() {
+  const size_t stride = static_cast<size_t>(
+      std::max(1, fleet_->producer_span_.load(std::memory_order_relaxed)));
+  for (size_t s = static_cast<size_t>(slot_); s < lanes_.size(); s += stride) {
+    if (HoldIfFree(s)) lanes_[s] = Lane::kHeld;
+  }
+}
+
+void CotsFleet::ThreadHandle::Claim(size_t s) {
+  const size_t span = static_cast<size_t>(
+      std::max(1, fleet_->producer_span_.load(std::memory_order_relaxed)));
+  const bool own = s % span == static_cast<size_t>(slot_);
+  lanes_[s] = own && HoldIfFree(s) ? Lane::kHeld : Lane::kRing;
+}
+
+bool CotsFleet::ThreadHandle::HoldIfFree(size_t s) const {
+  const Shard& shard = *fleet_->shards_[s];
+  return shard.waiters_.load(std::memory_order_relaxed) == 0 &&
+         shard.TryAcquire();
+}
+
+template <typename KeyAt>
+void CotsFleet::ThreadHandle::Route(size_t count, KeyAt key_at) {
+  for (size_t i = 0; i < count; ++i) {
+    const WeightedKey k = key_at(i);
+    const size_t s = fleet_->ShardOf(k.key);
+    if (lanes_[s] == Lane::kUntouched) Claim(s);
+    if (lanes_[s] == Lane::kRing) {
+      RingCursor& c = rings_[s];
+      if (c.tail != c.limit || MakeRoom(s)) {
+        c.ring->entries[c.tail++ % kRingEntries] = k;
+        continue;
+      }
+    }
+    runs_[s].push_back(k);
+  }
+}
+
+bool CotsFleet::ThreadHandle::MakeRoom(size_t s) {
+  Shard& shard = *fleet_->shards_[s];
+  RingCursor& c = rings_[s];
+  if (c.ring == nullptr) c.ring = shard.RingOf(slot_);  // first push
+  c.limit = c.ring->head.load(std::memory_order_acquire) + kRingEntries;
+  if (c.tail != c.limit) return true;
+  // Full: the shard is not keeping up with this producer. Make what we
+  // wrote visible, then wait — at most kStallPatienceNs — for the holder
+  // to hand back room or to let us take the flag. Meanwhile drain the
+  // shards we hold, so two producers whose rings into each other's shards
+  // are full cannot wait each other out.
+  COTS_COUNTER_INC("fleet.ring_full");
+  overloaded_ = true;
+  c.ring->tail.store(c.tail, std::memory_order_seq_cst);
+  c.published = c.tail;
+  const uint64_t deadline = NowNanos() + kStallPatienceNs;
+  shard.waiters_.fetch_add(1, std::memory_order_seq_cst);
+  Lane lane = Lane::kOverflow;
+  for (uint32_t spins = 1;; ++spins) {
+    c.limit = c.ring->head.load(std::memory_order_acquire) + kRingEntries;
+    if (c.tail != c.limit) {
+      lane = Lane::kRing;
+      break;
+    }
+    if (shard.TryAcquire()) {
+      lane = Lane::kHeld;
+      break;
+    }
+    CpuRelax();
+    if (spins % 64 == 0) {
+      DrainHeld();
+      if (NowNanos() > deadline) break;
+    }
+  }
+  shard.waiters_.fetch_sub(1, std::memory_order_seq_cst);
+  if (lane == Lane::kHeld) {
+    shard.Drain();  // applies our ring, and everyone else's, before runs_[s]
+  } else if (shard.TryAcquire()) {
+    // Holders may have left the rings to us while we waited.
+    shard.Release();
+  }
+  lanes_[s] = lane;
+  return lane == Lane::kRing;
+}
+
+void CotsFleet::ThreadHandle::DrainHeld() {
+  for (size_t s = 0; s < lanes_.size(); ++s) {
+    if (lanes_[s] == Lane::kHeld) fleet_->shards_[s]->Drain();
+  }
+}
+
+bool CotsFleet::ThreadHandle::Finish() {
+  uint64_t touched = 0;
+  // Publish the rings first, so their owners drain them at the end of the
+  // offers they are in now.
+  for (size_t s = 0; s < lanes_.size(); ++s) {
+    RingCursor& c = rings_[s];
+    if (c.tail == c.published) continue;
+    const uint64_t count = c.tail - c.published;
+    // Dekker pairing with Release: publish, then look at the flag.
+    c.ring->tail.store(c.tail, std::memory_order_seq_cst);
+    c.published = c.tail;
+    COTS_FAILPOINT("fleet.handoff_retry");
+    Shard& shard = *fleet_->shards_[s];
+    if (shard.TryAcquire()) {
+      shard.Release();  // nobody held the shard: drain it ourselves
+    } else {
+      COTS_TRACE_INSTANT_ARG("fleet.handoff", count);
+      COTS_COUNTER_INC("fleet.handoffs");
+    }
+  }
+  for (size_t s = 0; s < lanes_.size(); ++s) {
+    const Lane lane = lanes_[s];
+    if (lane == Lane::kUntouched) continue;
+    lanes_[s] = Lane::kUntouched;
+    ++touched;
+    // Perturbation point between per-shard dispatches: a batch that is
+    // half-landed across shards is exactly the state Stop() must wait out.
+    COTS_FAILPOINT("fleet.dispatch_shard");
+    Shard& shard = *fleet_->shards_[s];
+    std::vector<WeightedKey>& run = runs_[s];
+    if (lane == Lane::kHeld) {
+      COTS_TRACE_SPAN(span, "fleet.shard_run");
+      span.SetArg(run.size());
+      // Our own entries still waiting in our ring go first (per-producer
+      // order); everyone else's are drained on release.
+      const RingCursor& c = rings_[s];
+      if (c.ring != nullptr &&
+          c.ring->head.load(std::memory_order_acquire) != c.tail) {
+        shard.Drain();
+      }
+      shard.Apply(run.data(), run.size());
+      shard.Release();
+    } else if (lane == Lane::kOverflow && !run.empty()) {
+      const uint64_t depth = run.size();
+      shard.overflow_depth_.fetch_add(depth, std::memory_order_relaxed);
+      Shard::Run* node = Shard::Run::Make(run);
+      Shard::Run* head = shard.overflow_.load(std::memory_order_relaxed);
+      do {
+        node->next = head;
+      } while (!shard.overflow_.compare_exchange_weak(
+          head, node, std::memory_order_seq_cst, std::memory_order_relaxed));
+      COTS_FAILPOINT("fleet.handoff_retry");
+      if (shard.TryAcquire()) {
+        shard.Release();
+      } else {
+        COTS_TRACE_INSTANT_ARG("fleet.handoff", depth);
+        COTS_COUNTER_INC("fleet.handoffs");
+      }
+    }
+    run.clear();
+  }
+  COTS_HISTOGRAM_RECORD("fleet.batch_shards_touched", touched);
+  const bool overloaded = overloaded_;
+  overloaded_ = false;
+  return overloaded;
 }
 
 bool CotsFleet::ThreadHandle::Offer(ElementId e, uint64_t weight) {
@@ -402,7 +616,10 @@ bool CotsFleet::ThreadHandle::Offer(ElementId e, uint64_t weight) {
     return false;
   }
   COTS_FAILPOINT("fleet.dispatch_shard");
-  fleet_->Dispatch(fleet_->ShardOf(e), &e, 1, weight);
+  if (slot_ < 0) TakeSlot();
+  const WeightedKey k{e, weight};
+  Route(1, [&](size_t) { return k; });
+  Finish();
   fleet_->MaybeAutoRefresh(view_participant_, weight);
   return true;
 }
@@ -418,32 +635,17 @@ OfferOutcome CotsFleet::ThreadHandle::OfferBatchBounded(
     span.Cancel();
     return OfferOutcome::kRefused;
   }
-  // One pass partitions the batch while keeping per-shard arrival order;
-  // buffers are cleared on entry so nothing leaks across calls.
-  for (std::vector<ElementId>& r : route_) r.clear();
-  for (size_t i = 0; i < count; ++i) {
-    route_[fleet_->ShardOf(elements[i])].push_back(elements[i]);
+  if (slot_ < 0) TakeSlot();
+  // Own shards are held from before coalescing to the end of the offer,
+  // so keys other producers hand them meanwhile are applied here too.
+  ClaimOwnShards();
+  if (coalescer_.CoalesceIfRepeated(elements, count)) {
+    const std::vector<WeightedKey>& w = coalescer_.weighted();
+    Route(w.size(), [&](size_t i) { return w[i]; });
+  } else {
+    Route(count, [&](size_t i) { return WeightedKey{elements[i], 1}; });
   }
-  // First pass: apply every run whose shard is free and skip the held
-  // ones. Second pass: a shard still held after the others were served
-  // gets its run through Dispatch (hand-off, or help a backlogged shard).
-  held_.clear();
-  uint64_t touched = 0;
-  for (size_t s = 0; s < route_.size(); ++s) {
-    if (route_[s].empty()) continue;
-    ++touched;
-    // Perturbation point between per-shard dispatches: a batch that is
-    // half-landed across shards is exactly the state Stop() must wait out.
-    COTS_FAILPOINT("fleet.dispatch_shard");
-    if (!fleet_->TryApply(s, route_[s].data(), route_[s].size(), 1)) {
-      held_.push_back(s);
-    }
-  }
-  bool overloaded = false;
-  for (const size_t s : held_) {
-    overloaded |= fleet_->Dispatch(s, route_[s].data(), route_[s].size(), 1);
-  }
-  COTS_HISTOGRAM_RECORD("fleet.batch_shards_touched", touched);
+  const bool overloaded = Finish();
   fleet_->MaybeAutoRefresh(view_participant_, count);
   if (!overloaded) return OfferOutcome::kAccepted;
   fleet_->deadline_misses_.fetch_add(1, std::memory_order_relaxed);

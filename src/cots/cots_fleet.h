@@ -6,27 +6,31 @@
 // The fleet hash-partitions the element space over N shards, so every key
 // has exactly one home shard. Each shard is a sequential
 // FlatStreamSummary guarded by an owner flag: only the thread holding the
-// flag writes it, so the ingest path carries no delegation hash, no
-// request rings and no epoch reclamation:
+// flag writes it, so the ingest path carries no delegation hash and no
+// epoch reclamation.
 //
-//   worker thread --> ShardOf(e) --> per-shard runs (router buffers)
-//                                        |
-//                 flag free? ---yes---> drain inbox, apply run, release
-//                     |                 flag, re-check inbox
-//                     no (skip; retry after the other shards)
-//                     v
-//                 push run into the shard's inbox, move on
+// Owner computes. A handle takes a producer slot on its first offer, and
+// shard s belongs to slot s mod P (P = one past the highest slot taken).
+// For the length of an offer the owner holds its shards' flags, so the
+// keys it routes home are applied by the core whose cache holds those
+// summaries:
 //
-// This is the paper's cooperative delegation applied at shard granularity:
-// a producer that finds a shard held does not wait for it — it hands its
-// run to the holder (through the inbox) and carries on with its next
-// shard. The inbox push and the holder's post-release inbox check pair
-// seq_cst (a Dekker pairing), so a handed-off run is always applied by
-// somebody: either the holder sees it after releasing, or the pusher sees
-// the flag free and drains the inbox itself. Once more than a batch is
-// waiting in an inbox the shard is behind, so a producer helps drain it
-// instead of pushing more — waiting for the flag at most 200 µs, after
-// which the holder counts as stalled and the run is handed off anyway.
+//   batch --> coalesce? --> ShardOf(key) --+--> own shard: own run, applied
+//                                          |    under the held flag
+//                                          +--> other shard: this slot's
+//                                               ring into that shard
+//
+// Keys for another producer's shards go into a bounded single-producer
+// ring per (slot, shard), written in place while routing. Whoever holds a
+// shard's flag drains all of its rings. This is the paper's cooperative
+// delegation at shard granularity: work meets an owner instead of a lock.
+// Two seq_cst Dekker pairings keep every entry owned: a producer publishes
+// its ring, then looks at the flag (taking it and draining when free); a
+// holder releases the flag, then looks at the rings (re-taking it when
+// they are not empty). A producer whose ring is full takes the shard's
+// flag with 200 µs of patience and reports kOverloaded; past that patience
+// the holder counts as stalled and the rest of the run goes to a heap
+// overflow list instead.
 //
 // Global queries fold per-shard snapshots with disjoint-merge semantics
 // (MergeMode::kDisjoint, core/summary_merge.h): each key keeps its home
@@ -36,7 +40,7 @@
 // Lifecycle mirrors the engine (DESIGN.md §8) one level up: offers resolve
 // all-or-nothing against Stop() — a batch is counted in full (across every
 // shard it touches) or refused in full. Stop() wins the fleet-level Dekker
-// handshake, waits out in-flight offers, then drains every inbox under its
+// handshake, waits out in-flight offers, then drains every shard under its
 // flag. The fleet starts no threads of its own. Failpoints
 // "fleet.dispatch_shard", "fleet.shard_hold", "fleet.handoff_retry",
 // "fleet.drain_wait" and "fleet.stop_drain" perturb those interleavings.
@@ -46,6 +50,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -53,6 +58,7 @@
 #include "core/flat_stream_summary.h"
 #include "core/summary_merge.h"
 #include "cots/admission.h"
+#include "cots/batch_coalescer.h"
 #include "util/ebr.h"
 #include "util/macros.h"
 #include "util/status.h"
@@ -94,22 +100,26 @@ struct CotsFleetOptions {
 /// handles before the fleet.
 class CotsFleet : public FrequencySummary {
  public:
-  /// The dispatch batch the server and benches feed. An offer that finds
-  /// a shard's inbox deeper than this helps drain it and reports
-  /// OfferOutcome::kOverloaded.
+  /// The dispatch batch the server and benches feed; also the depth at
+  /// which the admission controller starts counting a shard as behind.
   static constexpr size_t kBatchDepth = 512;
 
   /// Concurrently registered handles. Each holds a slot in the fleet's
   /// view-reclamation epoch domain, whose one further slot is the fleet's
-  /// own query participant.
+  /// own query participant; a handle that offers also takes one of as
+  /// many producer slots.
   static constexpr int kMaxHandles = 255;
 
+  /// Entries in one (producer slot, shard) ring: 8 KB of WeightedKey.
+  static constexpr size_t kRingEntries = 512;
+
   /// One partition: a sequential FlatStreamSummary written only by the
-  /// thread holding its owner flag, plus the inbox where producers that
-  /// found the flag taken leave their runs. Reads that need the summary
-  /// itself take the flag (waiting out the current holder's run); the
-  /// stream length and counter count are mirrored into atomics after every
-  /// run, so those two read lock-free.
+  /// thread holding its owner flag, the rings through which producers hand
+  /// it keys, and the overflow list for runs a stalled holder left no room
+  /// for. Reads that need the summary itself take the flag (waiting out
+  /// the current holder, then draining); the stream length and counter
+  /// count are mirrored into atomics at every release, so those two read
+  /// lock-free.
   class Shard {
    public:
     explicit Shard(size_t capacity);
@@ -128,12 +138,9 @@ class CotsFleet : public FrequencySummary {
     uint64_t shed_weight() const {
       return shed_weight_.load(std::memory_order_relaxed);
     }
-    /// Elements handed off to the inbox and not yet applied — the backlog
-    /// signal the admission controller samples.
-    size_t queue_depth() const {
-      return static_cast<size_t>(
-          inbox_depth_.load(std::memory_order_relaxed));
-    }
+    /// Entries handed to this shard (rings plus overflow) and not yet
+    /// applied — the backlog signal the admission controller samples.
+    size_t queue_depth() const;
 
     /// The counter monitoring e (under the flag).
     std::optional<Counter> Lookup(ElementId e) const;
@@ -142,53 +149,62 @@ class CotsFleet : public FrequencySummary {
     /// Bound on any unmonitored key homed here: the minimum monitored
     /// count once the summary is full (0 before), plus the shed weight.
     uint64_t MinFreq() const;
-    /// Summary invariants, the atomic mirrors, and an empty inbox. Test
-    /// helper for a stopped fleet.
+    /// Summary invariants, the atomic mirrors, and nothing left to drain.
+    /// Test helper for a stopped fleet.
     bool CheckInvariants() const;
 
    private:
     friend class CotsFleet;
+    struct Ring;
     struct Run;
 
     // Takes the flag if it is free right now. The seq_cst load is the
     // hand-off side of the Dekker pairing (see cots_fleet.cc).
     bool TryAcquire() const {
       return !owner_.load(std::memory_order_seq_cst) &&
-             !owner_.exchange(true, std::memory_order_acquire);
+             !owner_.exchange(true, std::memory_order_seq_cst);
     }
-    // Waits for the flag, then drains the inbox so the caller sees every
-    // run handed off before the call. With a nonzero deadline (NowNanos()
+    // Waits for the flag, then drains, so the caller sees every entry
+    // handed off before the call. With a nonzero deadline (NowNanos()
     // clock) gives up and returns false once it passes.
     bool Acquire(uint64_t deadline_ns = 0) const;
-    // Drains the inbox, publishes the mirrors, releases the flag, and
-    // re-checks the inbox (re-acquiring to drain it if the flag is free
-    // and nobody is waiting for it).
+    // Drains, publishes the mirrors, releases the flag, and re-checks the
+    // rings (re-acquiring to drain them if the flag is free and nobody is
+    // waiting for it).
     void Release() const;
-    // Applies every run waiting in the inbox, oldest first. Flag held.
-    void DrainInbox() const;
-    void Apply(const ElementId* elements, size_t count,
-               uint64_t weight) const;
-    // Hands a run to the holder; returns the elements already queued.
-    uint64_t Push(Run* run);
+    // Applies every entry waiting in the rings and the overflow. Flag held.
+    void Drain() const;
+    // Whether any ring or the overflow holds an entry (seq_cst reads).
+    bool Pending() const;
+    void Apply(const WeightedKey* keys, size_t count) const;
+    // The ring of producer slot `slot` into this shard, allocated on first
+    // use. Called only by the slot's holder.
+    Ring* RingOf(int slot);
 
     // Owner-side state: written only under the flag (the reads that take
     // the flag are const, so the summary they may drain into is mutable).
     COTS_CACHE_ALIGNED mutable std::atomic<bool> owner_{false};
-    // Threads spinning in Acquire: readers, publishers, Stop, and
-    // producers helping a backlogged shard.
+    // Threads spinning for the flag: readers, publishers, Stop, and
+    // producers whose ring is full. An owner leaves a shard someone waits
+    // for out of its next offer, and a releasing holder leaves the rings to
+    // the waiter.
     mutable std::atomic<uint32_t> waiters_{0};
     mutable std::atomic<uint64_t> n_{0};
     mutable std::atomic<size_t> size_{0};
     mutable FlatStreamSummary summary_;
-    // Producer-side hand-off state.
-    COTS_CACHE_ALIGNED mutable std::atomic<Run*> inbox_{nullptr};
-    mutable std::atomic<uint64_t> inbox_depth_{0};
+    // Hand-off state: one ring slot per producer slot (kMaxHandles), and
+    // one past the highest slot whose ring exists.
+    COTS_CACHE_ALIGNED std::unique_ptr<std::atomic<Ring*>[]> rings_;
+    std::atomic<int> ring_span_{0};
+    mutable std::atomic<Run*> overflow_{nullptr};
+    mutable std::atomic<uint64_t> overflow_depth_{0};
     COTS_CACHE_ALIGNED std::atomic<uint64_t> shed_weight_{0};
   };
 
-  /// Per-thread session holding the routing scratch and a slot in the
-  /// fleet's view-epoch domain. Single-threaded by contract; cache-line
-  /// aligned so a reader's handle never shares a line with a producer's.
+  /// Per-thread session holding a slot in the fleet's view-epoch domain
+  /// and, from its first offer on, a producer slot with its routing state.
+  /// Single-threaded by contract; cache-line aligned so a reader's handle
+  /// never shares a line with a producer's.
   ///
   /// Like the engine's handle, this is a FrequencySummary: reads route to
   /// the home shard (Lookup) or fold the fleet (set queries), and
@@ -203,22 +219,21 @@ class CotsFleet : public FrequencySummary {
     /// nothing counted — once fleet Stop() has begun (see OfferBatch).
     bool Offer(ElementId e, uint64_t weight = 1);
 
-    /// Routes the batch into per-shard runs and applies each run to its
-    /// shard, or hands it to the shard's holder when the flag is taken
-    /// (DESIGN.md §9.2).
+    /// Coalesces the batch when it pays, routes it into own runs and
+    /// rings, and applies the own runs (DESIGN.md §9.1-9.2).
     /// All-or-nothing against Stop(): the fleet-level handshake is taken
     /// once for the whole batch, so either every element is counted on its
-    /// shard or the batch is refused in full. A handed-off run is applied
-    /// by the holder before Stop() returns; until then it is counted but
-    /// not yet visible to queries.
+    /// shard or the batch is refused in full. A handed-off entry is applied
+    /// by the shard's holder before Stop() returns; until then it is
+    /// counted but not yet visible to queries.
     bool OfferBatch(const ElementId* elements, size_t count) {
       return OfferBatchBounded(elements, count) != OfferOutcome::kRefused;
     }
 
     /// OfferBatch with the overload signal surfaced: kOverloaded means the
-    /// batch WAS fully counted but found a shard's inbox more than
-    /// kBatchDepth elements deep — the shard is falling behind and the
-    /// caller should back off or shed (DESIGN.md §13).
+    /// batch WAS fully counted but found a ring into some shard full — the
+    /// shard is falling behind and the caller should back off or shed
+    /// (DESIGN.md §13).
     OfferOutcome OfferBatchBounded(const ElementId* elements, size_t count);
 
     // FrequencySummary:
@@ -238,14 +253,54 @@ class CotsFleet : public FrequencySummary {
     friend class CotsFleet;
     ThreadHandle(CotsFleet* fleet, EpochParticipant* participant);
 
+    // Where one shard's keys go for the current offer.
+    enum class Lane : uint8_t {
+      kUntouched,  // not claimed yet this offer
+      kHeld,       // flag held: keys go to runs_[s]
+      kRing,       // keys go to this slot's ring
+      kOverflow,   // ring full, holder stalled: keys go to runs_[s], then
+                   // to the overflow list
+    };
+    // This slot's ring into one shard, cached with its cursors.
+    struct RingCursor {
+      Shard::Ring* ring = nullptr;
+      uint64_t tail = 0;       // next entry to write
+      uint64_t published = 0;  // tail as last published
+      uint64_t limit = 0;      // tail may not pass this (cached head + size)
+    };
+
+    // Takes a producer slot and sets up the routing state (first offer).
+    void TakeSlot();
+    // Claims this slot's shards for the offer: their flags where free and
+    // nobody waits for them; a shard found taken is routed like any other.
+    void ClaimOwnShards();
+    // Decides where shard s's keys go for the rest of the offer.
+    void Claim(size_t s);
+    // Takes shard s's flag if it is free and nobody waits for it.
+    bool HoldIfFree(size_t s) const;
+    template <typename KeyAt>
+    void Route(size_t count, KeyAt key_at);
+    // Refreshes the ring's room; when it is full, waits for room or the
+    // flag (with patience) and returns false if the keys now go to runs_[s].
+    bool MakeRoom(size_t s);
+    // Applies, publishes or overflows every lane; resets them. Returns
+    // whether the offer found a ring full.
+    bool Finish();
+    // Drains the shards this handle holds (while it waits on another).
+    void DrainHeld();
+
     CotsFleet* fleet_;
     // Slot in the fleet's view-epoch domain (view acquisition + retire).
     EpochParticipant* view_participant_;
-    // Reused per call; per-shard so one pass over the input both
-    // partitions and preserves per-shard arrival order.
-    std::vector<std::vector<ElementId>> route_;
-    // Shards found held on the first dispatch pass (reused per call).
-    std::vector<size_t> held_;
+    // Producer slot, or -1 before the first offer.
+    int slot_ = -1;
+    // Per shard: the lane for the current offer, this slot's ring cursor,
+    // and the keys routed to a held or overflowing shard.
+    std::vector<Lane> lanes_;
+    std::vector<RingCursor> rings_;
+    std::vector<std::vector<WeightedKey>> runs_;
+    BatchCoalescer coalescer_;
+    bool overloaded_ = false;
   };
 
   /// Validates options (asserts in debug, clamps to a functional
@@ -261,9 +316,9 @@ class CotsFleet : public FrequencySummary {
 
   /// Quiesces the fleet: wins the fleet-level handshake (subsequent offers
   /// are refused whole), waits out in-flight offers, then drains every
-  /// shard's inbox under its flag. Idempotent and thread-safe; concurrent
-  /// callers block until the structure is frozen. After Stop() the merged
-  /// views are stable and exact with respect to everything counted.
+  /// shard under its flag. Idempotent and thread-safe; concurrent callers
+  /// block until the structure is frozen. After Stop() the merged views
+  /// are stable and exact with respect to everything counted.
   void Stop();
 
   EngineState state() const { return state_.load(std::memory_order_acquire); }
@@ -310,14 +365,14 @@ class CotsFleet : public FrequencySummary {
   // when the bound matters too).
   std::optional<Counter> Lookup(ElementId e) const override;
   std::vector<Counter> CountersDescending() const override;
-  /// Sum of the shards' applied occurrences (lock-free; handed-off runs
-  /// count once their holder applies them).
+  /// Sum of the shards' applied occurrences (lock-free; handed-off entries
+  /// count once a holder applies them).
   uint64_t stream_length() const override;
   size_t num_counters() const override;
 
   /// Folds the shards into a global view and publishes it now, without
   /// pacing. On return the view covers every offer that returned before
-  /// this call: runs still waiting in an inbox are applied by the fold.
+  /// this call: entries still waiting in a ring are applied by the fold.
   void RefreshQueryView();
 
   /// The published global view's refresh number (0 = never published).
@@ -334,21 +389,8 @@ class CotsFleet : public FrequencySummary {
     uint64_t shed_weight = 0;
   };
 
-  // Applies the run to shard s if its flag is free right now.
-  bool TryApply(size_t s, const ElementId* elements, size_t count,
-                uint64_t weight);
-  // Applies the run to a shard whose flag the caller holds, then releases.
-  void ApplyHeld(Shard& shard, const ElementId* elements, size_t count,
-                 uint64_t weight);
-  // Pushes the run into the shard's inbox for its holder; returns true
-  // when more than kBatchDepth elements were already waiting.
-  bool HandOff(Shard& shard, const ElementId* elements, size_t count,
-               uint64_t weight);
-  // Applies the run to shard s, or hands it to the holder (see
-  // cots_fleet.cc); returns true when the shard's inbox was more than
-  // kBatchDepth elements deep (the batch is then kOverloaded).
-  bool Dispatch(size_t s, const ElementId* elements, size_t count,
-                uint64_t weight);
+  int TakeProducerSlot();
+  void ReturnProducerSlot(int slot);
   // Copies every shard under its flag and folds the copies exactly as
   // MergeSerial(..., MergeMode::kDisjoint) would. With a nonzero deadline
   // gives up (returns false) when a shard's flag stays taken past it.
@@ -367,10 +409,17 @@ class CotsFleet : public FrequencySummary {
   std::vector<std::unique_ptr<Shard>> shards_;
   uint64_t view_refresh_interval_ = 0;
 
+  // Producer slots: taken on a handle's first offer, returned when it is
+  // destroyed. producer_span_ (one past the highest slot taken) is the P
+  // in "shard s belongs to slot s mod P".
+  COTS_CACHE_ALIGNED std::mutex slots_mu_;
+  std::vector<bool> slot_taken_;  // guarded by slots_mu_
+  std::atomic<int> producer_span_{0};
+
   // Producer side: the Stop() handshake and the refresh trigger.
   COTS_CACHE_ALIGNED std::atomic<EngineState> state_{EngineState::kRunning};
   /// Fleet offers between the handshake and their last shard dispatch;
-  /// Stop() waits for zero before draining any inbox.
+  /// Stop() waits for zero before draining any shard.
   std::atomic<uint64_t> inflight_offers_{0};
   std::atomic<uint64_t> offers_since_refresh_{0};
   // Earliest NowNanos() at which an automatic refresh may start (pacing).

@@ -1,7 +1,10 @@
 #include "cots/cots_lossy_counting.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+
+#include "util/failpoint.h"
 
 namespace cots {
 
@@ -74,11 +77,19 @@ void CotsLossyCounting::ThreadHandle::Offer(ElementId e) {
   // history can have been evicted (Lossy Counting's delta).
   const uint64_t before =
       engine_->n_.fetch_add(1, std::memory_order_acq_rel);
-  const uint64_t delta_bound = before / engine_->width_;
 
   EpochGuard guard(participant_);
+  // Between the read above and the re-insert below, the offer completing
+  // a round may sweep e's earlier entry.
+  COTS_FAILPOINT("lossy.delta_window");
   DelegationHashTable::DelegateResult r = engine_->table_.Delegate(e);
   if (r.owner) {
+    // A sweep that evicted e's earlier entry published its threshold
+    // before enqueuing the eviction, so a re-inserted entry's delta covers
+    // it even when it started after `before` was read.
+    const uint64_t delta_bound =
+        std::max(before / engine_->width_,
+                 engine_->swept_round_.load(std::memory_order_acquire));
     engine_->summary_.CrossBoundary(r.entry, r.newly_inserted, 1,
                                     /*token=*/1, participant_,
                                     /*initial_error=*/delta_bound);
@@ -90,6 +101,10 @@ void CotsLossyCounting::ThreadHandle::Offer(ElementId e) {
   const uint64_t after = before + 1;
   if (after % engine_->width_ == 0) {
     const uint64_t round = after / engine_->width_;
+    uint64_t swept = engine_->swept_round_.load(std::memory_order_relaxed);
+    while (swept < round && !engine_->swept_round_.compare_exchange_weak(
+                                swept, round, std::memory_order_seq_cst)) {
+    }
     engine_->summary_.EvictUpTo(round, participant_);
     engine_->rounds_completed_.fetch_add(1, std::memory_order_relaxed);
   }

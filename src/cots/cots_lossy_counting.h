@@ -96,6 +96,9 @@ class CotsLossyCounting : public FrequencySummary {
   ConcurrentStreamSummary summary_;
   std::atomic<uint64_t> n_{0};
   std::atomic<uint64_t> rounds_completed_{0};
+  // Highest round whose sweep has started; published before the sweep
+  // enqueues its evictions.
+  std::atomic<uint64_t> swept_round_{0};
 
   mutable std::mutex query_mu_;
   mutable EpochParticipant* query_participant_ = nullptr;

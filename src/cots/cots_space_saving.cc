@@ -179,26 +179,6 @@ bool CotsSpaceSaving::ThreadHandle::Offer(ElementId e, uint64_t weight) {
   return true;
 }
 
-namespace {
-
-// Finalizer-strength mix (same constants as the hash table's BucketFor) so
-// the coalescing index spreads adversarial keys.
-inline uint64_t MixKey(ElementId e) {
-  uint64_t h = e;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return h;
-}
-
-inline size_t RoundUpPowerOfTwo(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 bool CotsSpaceSaving::ThreadHandle::OfferBatch(
     const ElementId* elements, size_t count,
     const BatchIngestOptions& options) {
@@ -229,44 +209,16 @@ bool CotsSpaceSaving::ThreadHandle::OfferBatch(
       }
     } else {
       // Coalesce duplicate keys inside the batch window into (key, weight)
-      // lumps, preserving first-occurrence order. The stamped index makes
-      // the per-batch reset O(1) instead of O(table).
-      const size_t want_slots = RoundUpPowerOfTwo(count * 2);
-      if (coalesce_slots_.size() < want_slots) {
-        coalesce_slots_.assign(want_slots, CoalesceSlot{});
-      }
-      const size_t mask = coalesce_slots_.size() - 1;
-      const uint64_t stamp = ++coalesce_stamp_;
-      coalesced_.clear();
-      for (size_t i = 0; i < count; ++i) {
-        const ElementId e = elements[i];
-        size_t slot = static_cast<size_t>(MixKey(e)) & mask;
-        for (;;) {
-          CoalesceSlot& s = coalesce_slots_[slot];
-          if (s.stamp != stamp) {
-            s.stamp = stamp;
-            s.index = static_cast<uint32_t>(coalesced_.size());
-            coalesced_.emplace_back(e, uint64_t{1});
-            break;
-          }
-          if (coalesced_[s.index].first == e) {
-            ++coalesced_[s.index].second;
-            break;
-          }
-          slot = (slot + 1) & mask;  // linear probe
-        }
-      }
-      COTS_COUNTER_ADD("ingest.coalesce_hits",
-                       static_cast<uint64_t>(count - coalesced_.size()));
-      COTS_HISTOGRAM_RECORD("ingest.batch_distinct", coalesced_.size());
-
+      // lumps, preserving first-occurrence order.
+      coalescer_.Merge(elements, count);
+      const std::vector<WeightedKey>& coalesced = coalescer_.weighted();
       const size_t dist = options.prefetch_distance;
-      const size_t distinct = coalesced_.size();
+      const size_t distinct = coalesced.size();
       for (size_t i = 0; i < distinct; ++i) {
         if (dist != 0 && i + dist < distinct) {
-          engine_->table_.PrefetchBucket(coalesced_[i + dist].first);
+          engine_->table_.PrefetchBucket(coalesced[i + dist].key);
         }
-        OfferGuarded(coalesced_[i].first, coalesced_[i].second);
+        OfferGuarded(coalesced[i].key, coalesced[i].weight);
       }
     }
   }

@@ -30,6 +30,7 @@
 
 #include "core/counter.h"
 #include "cots/admission.h"
+#include "cots/batch_coalescer.h"
 #include "cots/concurrent_stream_summary.h"
 #include "cots/delegation_hash_table.h"
 #include "util/ebr.h"
@@ -157,16 +158,9 @@ class CotsSpaceSaving : public FrequencySummary {
     // steady state (ThreadHandle is single-threaded by contract).
     ConcurrentStreamSummary::WorkContext scratch_;
 
-    // In-batch coalescing scratch: a stamped open-addressing index over the
-    // current batch window plus the compacted (key, weight) list, kept
-    // across batches so steady-state coalescing never allocates.
-    struct CoalesceSlot {
-      uint64_t stamp = 0;
-      uint32_t index = 0;
-    };
-    std::vector<CoalesceSlot> coalesce_slots_;
-    std::vector<std::pair<ElementId, uint64_t>> coalesced_;
-    uint64_t coalesce_stamp_ = 0;
+    // In-batch coalescing scratch, kept across batches so steady-state
+    // coalescing never allocates.
+    BatchCoalescer coalescer_;
   };
 
   /// The constructor runs `options.Validate()` itself (on a copy), so

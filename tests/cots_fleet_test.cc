@@ -67,6 +67,26 @@ class CotsFleetTest : public ::testing::Test {
     }
   }
 
+  // Calls sink(key, weight) for each offer the fleet applies for one batch:
+  // the weighted keys of the fleet's own coalescing rule when the batch
+  // repeats enough, else every key with weight 1.
+  template <typename Sink>
+  static void ForEachAppliedOffer(const ElementId* batch, size_t len,
+                                  BatchCoalescer* coalescer, Sink sink) {
+    if (coalescer->CoalesceIfRepeated(batch, len)) {
+      for (const WeightedKey& k : coalescer->weighted()) sink(k.key, k.weight);
+    } else {
+      for (size_t i = 0; i < len; ++i) sink(batch[i], uint64_t{1});
+    }
+  }
+
+  // Coalesced batches recorded so far (0 without metrics).
+  static uint64_t CoalescedBatches() {
+    const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    const HistogramSnapshot* h = snap.Histogram("ingest.batch_distinct");
+    return h == nullptr ? 0 : h->count;
+  }
+
   // The per-key sandwich, the unmonitored-key bound, and conservation of
   // a merged view against ground truth over the full offered stream.
   static void ExpectSoundAgainst(const CounterSet& view, const ExactMap& exact,
@@ -140,7 +160,9 @@ TEST_F(CotsFleetTest, ShardRoutingIsDeterministicAndInRange) {
 
 // With one shard the fleet is a sequential FlatStreamSummary plus routing:
 // identical counts, errors, bound, stream length, and lookups for the same
-// input (the CoTS engine is no longer what a shard runs).
+// offers (the CoTS engine is no longer what a shard runs). The reference
+// is fed each batch as the fleet applies it, coalesced by the fleet's own
+// rule.
 TEST_F(CotsFleetTest, SingleShardMatchesSingleEngine) {
   ZipfOptions zopt;
   zopt.alphabet_size = 500;
@@ -148,7 +170,17 @@ TEST_F(CotsFleetTest, SingleShardMatchesSingleEngine) {
   Stream s = MakeZipfStream(20000, zopt);
 
   FlatStreamSummary flat(64);
-  for (ElementId e : s) flat.Offer(e);
+  BatchCoalescer coalescer;
+  const uint64_t coalesced_before = CoalescedBatches();
+  for (size_t i = 0; i < s.size(); i += CotsFleet::kBatchDepth) {
+    const size_t len = std::min(CotsFleet::kBatchDepth, s.size() - i);
+    ForEachAppliedOffer(s.data() + i, len, &coalescer,
+                        [&](ElementId e, uint64_t w) { flat.Offer(e, w); });
+  }
+  if (COTS_METRICS_ENABLED) {
+    // The skewed stream exercises the coalesced path.
+    EXPECT_GT(CoalescedBatches(), coalesced_before);
+  }
 
   CotsFleet fleet(MakeOptions(/*shards=*/1, /*capacity=*/64));
   IngestBatches(&fleet, s);
@@ -165,10 +197,12 @@ TEST_F(CotsFleetTest, SingleShardMatchesSingleEngine) {
   }
 }
 
-// Differential oracle: a single-producer fleet applies each shard's
-// substream in arrival order, so every shard must equal, bit for bit, a
-// sequential FlatStreamSummary fed that substream — counters, errors and
-// min_freq — both while running and after Stop().
+// Differential oracle: a single-producer fleet owns every shard and
+// applies each shard's substream of weighted offers in arrival order, so
+// every shard must equal, bit for bit, a sequential FlatStreamSummary fed
+// that substream — counters, errors and min_freq — both while running and
+// after Stop(). Batches reach the references as the fleet applies them,
+// coalesced by the fleet's own rule.
 TEST_F(CotsFleetTest, SingleProducerShardsMatchSequentialFlatBitForBit) {
   for (const double alpha : {0.8, 1.5}) {
     SCOPED_TRACE(alpha);
@@ -184,6 +218,7 @@ TEST_F(CotsFleetTest, SingleProducerShardsMatchSequentialFlatBitForBit) {
     }
     auto handle = fleet.RegisterThread();
     ASSERT_NE(handle, nullptr);
+    BatchCoalescer coalescer;
     // Mixed batch sizes plus weighted single offers.
     Xoshiro256 rng(17);
     size_t pos = 0;
@@ -198,9 +233,10 @@ TEST_F(CotsFleetTest, SingleProducerShardsMatchSequentialFlatBitForBit) {
       const size_t len =
           std::min<size_t>(1 + rng.NextBounded(700), s.size() - pos);
       ASSERT_TRUE(handle->OfferBatch(s.data() + pos, len));
-      for (size_t i = pos; i < pos + len; ++i) {
-        ref[fleet.ShardOf(s[i])]->Offer(s[i]);
-      }
+      ForEachAppliedOffer(s.data() + pos, len, &coalescer,
+                          [&](ElementId e, uint64_t w) {
+                            ref[fleet.ShardOf(e)]->Offer(e, w);
+                          });
       pos += len;
     }
     auto expect_equal = [&] {
@@ -342,61 +378,151 @@ TEST_F(CotsFleetTest, MergedViewBoundsHoldVersusExactCounter) {
 }
 
 // Differential oracle under contention: producers race each other (so
-// runs are handed off between them) while randomly shedding batches; the
-// merged view must keep the sandwich and the min_freq bound over the full
-// offered stream, and counted + shed == offered exactly.
+// entries are handed off between them) while randomly shedding batches;
+// the merged view must keep the sandwich and the min_freq bound over the
+// full offered stream, and counted + shed == offered exactly. Three shapes:
+// 3 producers on 3 shards with a skewed key mix, and 4 producers on 4
+// shards (every producer owns one shard, so three quarters of each batch
+// goes through the rings) once skewed and once flat. Skewed batches are
+// coalesced, flat ones are not.
 TEST_F(CotsFleetTest, MultiProducerShedSchedulesStaySoundAndConserve) {
+  struct Shape {
+    int threads;
+    size_t shards;
+    bool skewed;
+  };
+  constexpr Shape kShapes[] = {{3, 3, true}, {4, 4, true}, {4, 4, false}};
   constexpr int kSchedules = 6;
-  constexpr int kThreads = 3;
   constexpr int kBatches = 300;
   constexpr uint64_t kBatch = 96;
-  for (int sched = 0; sched < kSchedules; ++sched) {
-    SCOPED_TRACE(sched);
-    CotsFleetOptions opt = MakeOptions(/*shards=*/3, /*capacity=*/24);
-    opt.view_refresh_interval = 1024;
-    CotsFleet fleet(opt);
-    std::mutex mu;
-    ExactMap exact;
-    std::atomic<uint64_t> offered{0};
-    std::atomic<uint64_t> shed{0};
+  for (const Shape& shape : kShapes) {
+    SCOPED_TRACE(::testing::Message() << shape.threads << " producers, "
+                                      << shape.shards << " shards, "
+                                      << (shape.skewed ? "skewed" : "flat"));
+    const uint64_t coalesced_before = CoalescedBatches();
+    for (int sched = 0; sched < kSchedules; ++sched) {
+      SCOPED_TRACE(sched);
+      CotsFleetOptions opt =
+          MakeOptions(/*shards=*/shape.shards, /*capacity=*/24);
+      opt.view_refresh_interval = 1024;
+      CotsFleet fleet(opt);
+      std::mutex mu;
+      ExactMap exact;
+      std::atomic<uint64_t> offered{0};
+      std::atomic<uint64_t> shed{0};
+      std::vector<std::thread> workers;
+      for (int t = 0; t < shape.threads; ++t) {
+        workers.emplace_back([&, t] {
+          auto handle = fleet.RegisterThread();
+          ASSERT_NE(handle, nullptr);
+          Xoshiro256 rng(0x5eed +
+                         7919 * static_cast<uint64_t>(sched * 8 + t));
+          ExactMap local;
+          ElementId batch[kBatch];
+          for (int b = 0; b < kBatches; ++b) {
+            for (uint64_t i = 0; i < kBatch; ++i) {
+              if (shape.skewed) {
+                const bool hot = rng.NextBounded(10) < 6;
+                batch[i] =
+                    hot ? 1 + rng.NextBounded(6) : 100 + rng.NextBounded(900);
+              } else {
+                batch[i] = 100 + rng.NextBounded(1'000'000);
+              }
+            }
+            // Shed fraction varies per schedule: none, sparse, heavy.
+            if (rng.NextBounded(6) < static_cast<uint64_t>(sched % 3)) {
+              ASSERT_TRUE(fleet.Shed(batch, kBatch));
+              shed.fetch_add(kBatch, std::memory_order_relaxed);
+            } else {
+              ASSERT_NE(handle->OfferBatchBounded(batch, kBatch),
+                        OfferOutcome::kRefused);
+              offered.fetch_add(kBatch, std::memory_order_relaxed);
+            }
+            for (ElementId e : batch) ++local[e];
+          }
+          std::lock_guard<std::mutex> lock(mu);
+          for (const auto& [k, v] : local) exact[k] += v;
+        });
+      }
+      for (std::thread& w : workers) w.join();
+      fleet.Stop();
+
+      ASSERT_EQ(fleet.stream_length(), offered.load());
+      ASSERT_EQ(fleet.shed_weight(), shed.load());
+      ASSERT_EQ(SumShardCounts(fleet), offered.load());
+      ExpectSoundAgainst(fleet.GlobalView(), exact, offered.load(),
+                         shed.load());
+      for (size_t i = 0; i < fleet.num_shards(); ++i) {
+        EXPECT_TRUE(fleet.shard(i).CheckInvariants()) << "shard " << i;
+      }
+    }
+    if (COTS_METRICS_ENABLED) {
+      // The two key mixes take the two paths.
+      if (shape.skewed) {
+        EXPECT_GT(CoalescedBatches(), coalesced_before);
+      } else {
+        EXPECT_EQ(CoalescedBatches(), coalesced_before);
+      }
+    }
+  }
+}
+
+// Producers join and leave mid-stream beside an idle query handle: each
+// worker registers a handle, offers a few batches (skewed or flat, so both
+// coalesced and raw entries cross the rings), destroys the handle and
+// registers the next, so producer slots are taken, returned and reused
+// while the other producers keep handing entries to the departing one's
+// shards and it to theirs. At each barrier every offer has returned, so
+// every entry must have been applied: stream_length() equals everything
+// returned, and no shard has anything left to drain.
+TEST_F(CotsFleetTest, ProducersJoiningAndLeavingStrandNothing) {
+  CotsFleet fleet(MakeOptions(/*shards=*/4, /*capacity=*/64));
+  // Registered for the whole run and never offers, so it takes no producer
+  // slot and owns no shard.
+  auto idle = fleet.RegisterThread();
+  ASSERT_NE(idle, nullptr);
+  constexpr int kThreads = 4;
+  constexpr int kPhases = 60;
+  constexpr int kStints = 6;
+  std::atomic<uint64_t> returned{0};
+  for (int phase = 0; phase < kPhases; ++phase) {
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
       workers.emplace_back([&, t] {
-        auto handle = fleet.RegisterThread();
-        ASSERT_NE(handle, nullptr);
-        Xoshiro256 rng(0x5eed + 7919 * static_cast<uint64_t>(sched * 8 + t));
-        ExactMap local;
-        ElementId batch[kBatch];
-        for (int b = 0; b < kBatches; ++b) {
-          for (uint64_t i = 0; i < kBatch; ++i) {
-            const bool hot = rng.NextBounded(10) < 6;
-            batch[i] = hot ? 1 + rng.NextBounded(6) : 100 + rng.NextBounded(900);
+        Xoshiro256 rng(0x10ad + 131 * static_cast<uint64_t>(phase * 8 + t));
+        std::vector<ElementId> batch(CotsFleet::kBatchDepth);
+        for (int stint = 0; stint < kStints; ++stint) {
+          auto handle = fleet.RegisterThread();
+          ASSERT_NE(handle, nullptr);
+          const uint64_t batches = 1 + rng.NextBounded(3);
+          for (uint64_t b = 0; b < batches; ++b) {
+            const bool skewed = rng.NextBounded(2) == 0;
+            const size_t len = 1 + rng.NextBounded(batch.size());
+            for (size_t i = 0; i < len; ++i) {
+              batch[i] = skewed ? rng.NextBounded(8) : rng.NextBounded(1 << 20);
+            }
+            ASSERT_TRUE(handle->OfferBatch(batch.data(), len));
+            returned.fetch_add(len, std::memory_order_relaxed);
           }
-          // Shed fraction varies per schedule: none, sparse, heavy.
-          if (rng.NextBounded(6) < static_cast<uint64_t>(sched % 3)) {
-            ASSERT_TRUE(fleet.Shed(batch, kBatch));
-            shed.fetch_add(kBatch, std::memory_order_relaxed);
-          } else {
-            ASSERT_NE(handle->OfferBatchBounded(batch, kBatch),
-                      OfferOutcome::kRefused);
-            offered.fetch_add(kBatch, std::memory_order_relaxed);
+          if (rng.NextBounded(4) == 0) {
+            ASSERT_TRUE(handle->Offer(rng.NextBounded(64), 3));
+            returned.fetch_add(3, std::memory_order_relaxed);
           }
-          for (ElementId e : batch) ++local[e];
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        for (const auto& [k, v] : local) exact[k] += v;
+        }  // the handle leaves here, while other workers still offer
       });
     }
     for (std::thread& w : workers) w.join();
-    fleet.Stop();
-
-    ASSERT_EQ(fleet.stream_length(), offered.load());
-    ASSERT_EQ(fleet.shed_weight(), shed.load());
-    ASSERT_EQ(SumShardCounts(fleet), offered.load());
-    ExpectSoundAgainst(fleet.GlobalView(), exact, offered.load(), shed.load());
-    for (size_t i = 0; i < fleet.num_shards(); ++i) {
-      EXPECT_TRUE(fleet.shard(i).CheckInvariants()) << "shard " << i;
+    ASSERT_EQ(fleet.stream_length(), returned.load()) << "phase " << phase;
+    for (size_t s = 0; s < fleet.num_shards(); ++s) {
+      ASSERT_EQ(fleet.shard(s).queue_depth(), 0u)
+          << "phase " << phase << " shard " << s;
     }
+  }
+  EXPECT_EQ(idle->stream_length(), returned.load());
+  idle.reset();
+  fleet.Stop();
+  for (size_t s = 0; s < fleet.num_shards(); ++s) {
+    EXPECT_TRUE(fleet.shard(s).CheckInvariants()) << "shard " << s;
   }
 }
 

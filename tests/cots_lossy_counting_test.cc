@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "core/lossy_counting.h"
 #include "stream/exact_counter.h"
 #include "stream/zipf_generator.h"
+#include "util/failpoint.h"
 
 namespace cots {
 namespace {
@@ -63,13 +65,9 @@ TEST(CotsLossyCountingTest, ReadmissionCarriesDelta) {
   EXPECT_EQ(handle->Lookup(2)->error, 1u);
 }
 
-class CotsLossyCountingStressTest
-    : public ::testing::TestWithParam<std::tuple<int, double>> {};
-
-TEST_P(CotsLossyCountingStressTest, EpsilonGuaranteeUnderConcurrency) {
-  const int threads = std::get<0>(GetParam());
-  const double alpha = std::get<1>(GetParam());
-
+// Offers a 30k-key zipf stream from `threads` threads and checks the
+// Lossy Counting guarantees against exact counts.
+void ExpectEpsilonGuaranteeUnderConcurrency(int threads, double alpha) {
   CotsLossyCountingOptions opt;
   opt.epsilon = 0.005;  // width 200: many rounds over 30k elements
   CotsLossyCounting engine(opt);
@@ -114,6 +112,40 @@ TEST_P(CotsLossyCountingStressTest, EpsilonGuaranteeUnderConcurrency) {
           << "key " << key << " freq " << truth;
     }
   }
+}
+
+class CotsLossyCountingStressTest
+    : public ::testing::TestWithParam<std::tuple<int, double>> {};
+
+TEST_P(CotsLossyCountingStressTest, EpsilonGuaranteeUnderConcurrency) {
+  ExpectEpsilonGuaranteeUnderConcurrency(std::get<0>(GetParam()),
+                                         std::get<1>(GetParam()));
+}
+
+// The race behind a one-short bound: between an offer's read of the
+// stream position and its re-insert of an element, the offer completing a
+// round may sweep the element's earlier entry. Stalling inside that window
+// makes the race common (with the re-insert's delta taken from the stream
+// position alone, this fails within a few runs, one short: 537 vs 536);
+// the re-inserted entry's delta must still cover the sweep.
+TEST(CotsLossyCountingSweepRaceTest, SweepInsideTheDeltaWindowKeepsBounds) {
+  if (!COTS_FAILPOINTS_ENABLED) {
+    GTEST_SKIP() << "build with -DCOTS_FAILPOINTS=ON to run injection";
+  }
+  FailpointSpec stall;
+  stall.action = FailpointSpec::Action::kSpin;
+  stall.num = 1;
+  stall.den = 2;
+  stall.spin_iters = 4000;
+  Failpoints::Global().Enable("lossy.delta_window", stall);
+  for (int round = 0; round < 4; ++round) {
+    for (const double alpha : {1.1, 2.0, 3.0}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "round " << round << " alpha " << alpha);
+      ExpectEpsilonGuaranteeUnderConcurrency(/*threads=*/4, alpha);
+    }
+  }
+  Failpoints::Global().DisableAll();
 }
 
 INSTANTIATE_TEST_SUITE_P(
