@@ -1,17 +1,24 @@
 // Google-benchmark micro benchmarks for the load-bearing components: zipf
 // sampling, the delegation hash table's fast paths, request queue ops, EBR
-// guard overhead, the sequential Stream Summary, and the spinlock. Run in
+// guard overhead, the sequential Stream Summary, the spinlock, and the
+// fleet's layers on one core (batch coalescing, one producer's OfferBatch
+// against a bare FlatStreamSummary pass over the same stream). Run in
 // Release mode; absolute numbers are machine-specific, relative costs are
 // what matters (e.g. Delegate ~= a hash probe + one fetch_add).
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "common/bench_common.h"
 #include "core/count_min_sketch.h"
 #include "core/count_sketch.h"
+#include "core/flat_stream_summary.h"
 #include "core/space_saving.h"
+#include "cots/batch_coalescer.h"
+#include "cots/cots_fleet.h"
 #include "cots/cots_space_saving.h"
 #include "cots/delegation_hash_table.h"
 #include "cots/request.h"
@@ -190,6 +197,101 @@ BENCHMARK(BM_CotsOfferBatchPipeline)
     ->Args({15, 256, 8, 0})
     ->Args({11, 256, 8, 1})
     ->Args({11, 256, 8, 0});
+
+// The fleet's layers on one core, over a pre-generated zipf stream of 2^20
+// keys from a 1M-key alphabet (perfbench's alphabet), fed in 512-key
+// batches; rates count stream elements. Use these rows for layer A/B runs
+// (DESIGN.md §9.1).
+Stream FleetLayerStream(int alpha_x10) {
+  ZipfOptions zopt;
+  zopt.alphabet_size = 1'000'000;
+  zopt.alpha = static_cast<double>(alpha_x10) / 10.0;
+  return MakeZipfStream(size_t{1} << 20, zopt);
+}
+
+// Args: {alpha*10, merge}. merge 0 is the fleet's CoalesceIfRepeated (at
+// α 0.8 only the 64-key sample runs); merge 1 is the engine's Merge.
+void BM_BatchCoalescer(benchmark::State& state) {
+  const Stream stream = FleetLayerStream(static_cast<int>(state.range(0)));
+  const bool merge = state.range(1) != 0;
+  constexpr size_t kBatch = CotsFleet::kBatchDepth;
+  BatchCoalescer coalescer;
+  size_t pos = 0;
+  for (auto _ : state) {
+    if (merge) {
+      coalescer.Merge(stream.data() + pos, kBatch);
+    } else {
+      benchmark::DoNotOptimize(
+          coalescer.CoalesceIfRepeated(stream.data() + pos, kBatch));
+    }
+    benchmark::DoNotOptimize(coalescer.weighted().data());
+    pos = (pos + kBatch) % stream.size();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kBatch));
+}
+BENCHMARK(BM_BatchCoalescer)
+    ->Args({8, 0})
+    ->Args({15, 0})
+    ->Args({8, 1})
+    ->Args({15, 1});
+
+// The per-core roofline the fleet is judged against: sequential
+// FlatStreamSummary passes (capacity 1000 each) offered the stream key by
+// key. With several summaries each key goes to one by the high bits of
+// key * count (the stream's keys are already mixed), which separates the
+// cost of a fleet's larger summary state from its routing. Args:
+// {alpha*10, summaries}.
+void BM_FlatStreamSummaryPass(benchmark::State& state) {
+  const Stream stream = FleetLayerStream(static_cast<int>(state.range(0)));
+  const size_t count = static_cast<size_t>(state.range(1));
+  std::vector<std::unique_ptr<FlatStreamSummary>> summaries;
+  for (size_t i = 0; i < count; ++i) {
+    summaries.push_back(std::make_unique<FlatStreamSummary>(1000));
+  }
+  size_t pos = 0;
+  for (auto _ : state) {
+    for (size_t i = 0; i < CotsFleet::kBatchDepth; ++i) {
+      const ElementId e = stream[pos + i];
+      const size_t home = static_cast<size_t>(
+          (static_cast<unsigned __int128>(e) * count) >> 64);
+      summaries[home]->Offer(e);
+    }
+    pos = (pos + CotsFleet::kBatchDepth) % stream.size();
+  }
+  benchmark::DoNotOptimize(summaries[0]->stream_length());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(CotsFleet::kBatchDepth));
+}
+BENCHMARK(BM_FlatStreamSummaryPass)
+    ->Args({8, 1})
+    ->Args({8, 4})
+    ->Args({15, 1})
+    ->Args({15, 4});
+
+// One producer's CotsFleet::OfferBatch (capacity 1000 per shard): it owns
+// and holds every shard, so this is route + coalesce + apply with no
+// hand-off. Args: {alpha*10, shards}.
+void BM_FleetOfferBatch(benchmark::State& state) {
+  const Stream stream = FleetLayerStream(static_cast<int>(state.range(0)));
+  CotsFleetOptions opt;
+  opt.num_shards = static_cast<size_t>(state.range(1));
+  opt.engine.capacity = 1000;
+  if (!opt.Validate().ok()) std::abort();
+  CotsFleet fleet(opt);
+  auto handle = fleet.RegisterThread();
+  size_t pos = 0;
+  for (auto _ : state) {
+    handle->OfferBatch(stream.data() + pos, CotsFleet::kBatchDepth);
+    pos = (pos + CotsFleet::kBatchDepth) % stream.size();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(CotsFleet::kBatchDepth));
+}
+BENCHMARK(BM_FleetOfferBatch)
+    ->Args({8, 1})
+    ->Args({8, 4})
+    ->Args({15, 1})
+    ->Args({15, 4});
 
 void BM_CountMinOffer(benchmark::State& state) {
   CountMinSketchOptions opt;

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -380,25 +381,34 @@ TEST_F(CotsFleetTest, MergedViewBoundsHoldVersusExactCounter) {
 // Differential oracle under contention: producers race each other (so
 // entries are handed off between them) while randomly shedding batches;
 // the merged view must keep the sandwich and the min_freq bound over the
-// full offered stream, and counted + shed == offered exactly. Three shapes:
+// full offered stream, and counted + shed == offered exactly. Four shapes:
 // 3 producers on 3 shards with a skewed key mix, and 4 producers on 4
 // shards (every producer owns one shard, so three quarters of each batch
-// goes through the rings) once skewed and once flat. Skewed batches are
-// coalesced, flat ones are not.
+// goes through the rings) once skewed, once flat, and once mixed. Skewed
+// batches are coalesced, flat ones are not. In the mixed shape producers
+// alternate skewed and flat batches and sprinkle single weighted offers,
+// with the keys 0 and UINT64_MAX among them, so unit and weighted ring
+// segments share each ring and wrap past its end.
 TEST_F(CotsFleetTest, MultiProducerShedSchedulesStaySoundAndConserve) {
+  enum class Mix { kSkewed, kFlat, kMixed };
   struct Shape {
     int threads;
     size_t shards;
-    bool skewed;
+    Mix mix;
   };
-  constexpr Shape kShapes[] = {{3, 3, true}, {4, 4, true}, {4, 4, false}};
+  constexpr Shape kShapes[] = {{3, 3, Mix::kSkewed},
+                               {4, 4, Mix::kSkewed},
+                               {4, 4, Mix::kFlat},
+                               {4, 4, Mix::kMixed}};
+  constexpr const char* kMixNames[] = {"skewed", "flat", "mixed"};
   constexpr int kSchedules = 6;
   constexpr int kBatches = 300;
   constexpr uint64_t kBatch = 96;
+  constexpr ElementId kMaxKey = std::numeric_limits<ElementId>::max();
   for (const Shape& shape : kShapes) {
-    SCOPED_TRACE(::testing::Message() << shape.threads << " producers, "
-                                      << shape.shards << " shards, "
-                                      << (shape.skewed ? "skewed" : "flat"));
+    SCOPED_TRACE(::testing::Message()
+                 << shape.threads << " producers, " << shape.shards
+                 << " shards, " << kMixNames[static_cast<int>(shape.mix)]);
     const uint64_t coalesced_before = CoalescedBatches();
     for (int sched = 0; sched < kSchedules; ++sched) {
       SCOPED_TRACE(sched);
@@ -420,14 +430,20 @@ TEST_F(CotsFleetTest, MultiProducerShedSchedulesStaySoundAndConserve) {
           ExactMap local;
           ElementId batch[kBatch];
           for (int b = 0; b < kBatches; ++b) {
+            const bool skewed = shape.mix == Mix::kSkewed ||
+                                (shape.mix == Mix::kMixed && b % 2 == 0);
             for (uint64_t i = 0; i < kBatch; ++i) {
-              if (shape.skewed) {
+              if (skewed) {
                 const bool hot = rng.NextBounded(10) < 6;
                 batch[i] =
                     hot ? 1 + rng.NextBounded(6) : 100 + rng.NextBounded(900);
               } else {
                 batch[i] = 100 + rng.NextBounded(1'000'000);
               }
+            }
+            if (shape.mix == Mix::kMixed) {
+              batch[rng.NextBounded(kBatch)] = 0;
+              batch[rng.NextBounded(kBatch)] = kMaxKey;
             }
             // Shed fraction varies per schedule: none, sparse, heavy.
             if (rng.NextBounded(6) < static_cast<uint64_t>(sched % 3)) {
@@ -439,6 +455,15 @@ TEST_F(CotsFleetTest, MultiProducerShedSchedulesStaySoundAndConserve) {
               offered.fetch_add(kBatch, std::memory_order_relaxed);
             }
             for (ElementId e : batch) ++local[e];
+            if (shape.mix == Mix::kMixed && b % 3 == 0) {
+              const ElementId keys[] = {0, kMaxKey, 1 + rng.NextBounded(6),
+                                        100 + rng.NextBounded(1'000'000)};
+              const ElementId e = keys[rng.NextBounded(4)];
+              const uint64_t w = 2 + rng.NextBounded(40);
+              ASSERT_TRUE(handle->Offer(e, w));
+              offered.fetch_add(w, std::memory_order_relaxed);
+              local[e] += w;
+            }
           }
           std::lock_guard<std::mutex> lock(mu);
           for (const auto& [k, v] : local) exact[k] += v;
@@ -457,11 +482,11 @@ TEST_F(CotsFleetTest, MultiProducerShedSchedulesStaySoundAndConserve) {
       }
     }
     if (COTS_METRICS_ENABLED) {
-      // The two key mixes take the two paths.
-      if (shape.skewed) {
-        EXPECT_GT(CoalescedBatches(), coalesced_before);
-      } else {
+      // The key mixes take the paths they are meant to.
+      if (shape.mix == Mix::kFlat) {
         EXPECT_EQ(CoalescedBatches(), coalesced_before);
+      } else {
+        EXPECT_GT(CoalescedBatches(), coalesced_before);
       }
     }
   }
